@@ -10,6 +10,7 @@
 package agent
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -218,6 +219,11 @@ type Agent struct {
 	stopped       atomic.Bool
 	done          chan struct{}
 
+	// batch is the batch clock: the ID the latest TBatchOpen carried (a
+	// joiner starts from its join view's). Seals that move no replica
+	// count broadcast no view, so views alone would leave it stale.
+	batch uint64
+
 	// stats counters exposed for metrics and tests
 	statForwarded uint64
 	statApplied   uint64
@@ -251,6 +257,8 @@ type Agent struct {
 	prof      agentProf
 	stepDelay atomic.Int64
 	delayHold *ackGroup
+	// copyReqs carries HeldCopies callers' reply channels to the loop.
+	copyReqs chan chan []graph.EdgeCopy
 
 	// Distributed tracing (nil tracer = off, one branch per touch point).
 	// phaseSpan covers Advance-to-vote processing; barrierSpan covers the
@@ -294,6 +302,7 @@ func Start(opts Options) (*Agent, error) {
 		phaseGate:   &ackGroup{},
 		reqToGroups: make(map[uint32][]*ackGroup),
 		done:        make(chan struct{}),
+		copyReqs:    make(chan chan []graph.EdgeCopy, 1),
 	}
 	// The tracer exists before metrics registration (its drop counter is
 	// scraped through a closure) and before any packet flows; its proc
@@ -411,6 +420,46 @@ func (a *Agent) SetComputeDelay(d time.Duration) { a.stepDelay.Store(int64(d)) }
 // delayRelease tags the self-injected tick that ends an injected
 // compute-phase stall.
 const delayRelease = "\x00vote-release"
+
+// heldCopiesTick tags the self-injected tick that answers HeldCopies.
+const heldCopiesTick = "\x00held-copies"
+
+// HeldCopies returns every edge copy the agent stores, read on its event
+// loop so the answer is a consistent cut between packets — the observable
+// placement-invariant tests check against their own reference routing.
+// Safe to call concurrently with the event loop; fails once the agent
+// has stopped or the loop does not answer within timeout.
+func (a *Agent) HeldCopies(timeout time.Duration) ([]graph.EdgeCopy, error) {
+	reply := make(chan []graph.EdgeCopy, 1)
+	select {
+	case a.copyReqs <- reply:
+	case <-time.After(timeout):
+		return nil, fmt.Errorf("agent %d: held-copies request queue busy", a.id)
+	}
+	if err := a.node.Inject(wire.TTick, []byte(heldCopiesTick)); err != nil {
+		return nil, err
+	}
+	select {
+	case copies := <-reply:
+		return copies, nil
+	case <-time.After(timeout):
+		return nil, fmt.Errorf("agent %d: held-copies request timed out", a.id)
+	}
+}
+
+// answerHeldCopies serves one queued HeldCopies request on the loop.
+func (a *Agent) answerHeldCopies() {
+	select {
+	case reply := <-a.copyReqs:
+		var copies []graph.EdgeCopy
+		a.store.Copies(func(c graph.EdgeCopy) bool {
+			copies = append(copies, c)
+			return true
+		})
+		reply <- copies
+	default:
+	}
+}
 
 // holdVote keeps the current phase gate open for d, stalling this
 // agent's barrier vote without blocking the event loop: the release
@@ -562,20 +611,27 @@ func (a *Agent) handlePacket(pkt *wire.Packet) bool {
 		a.sendDigest()
 		a.checkpointNow()
 	case wire.TBatchOpen:
+		if len(pkt.Payload) >= 8 {
+			a.batch = binary.LittleEndian.Uint64(pkt.Payload)
+		}
 		a.journal.Emit(events.Info, events.KindBatch, trace.SpanContext{},
-			events.U("agent", a.id), events.U("batch", a.router.BatchID()+1))
+			events.U("agent", a.id), events.U("batch", a.batch))
 		a.handleBatchOpen()
 		a.node.Ack(pkt)
 	case wire.TTick:
 		// Payload-bearing ticks are injected control messages, serialized
-		// here so they cannot race Close: the compute-delay release, or a
-		// flight-dump request (see RequestFlightDump).
+		// here so they cannot race Close: the compute-delay release, a
+		// HeldCopies request, or a flight-dump request (see
+		// RequestFlightDump).
 		if len(pkt.Payload) > 0 {
-			if string(pkt.Payload) == delayRelease {
+			switch string(pkt.Payload) {
+			case delayRelease:
 				a.releaseVoteHold()
-				return false
+			case heldCopiesTick:
+				a.answerHeldCopies()
+			default:
+				a.tracer.DumpFlight(string(pkt.Payload))
 			}
-			a.tracer.DumpFlight(string(pkt.Payload))
 			return false
 		}
 		// Self-addressed heartbeat tick: renew the lease from the event

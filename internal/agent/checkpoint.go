@@ -130,7 +130,7 @@ func (a *Agent) checkpointNow() {
 		AgentID:   a.id,
 		Seq:       a.ckpt.seq + 1,
 		ViewEpoch: a.router.Epoch(),
-		BatchID:   a.router.BatchID(),
+		BatchID:   a.batch,
 		// Overrides version with the view: a table change always ships
 		// inside a new epoch's view broadcast.
 		OverrideVer: a.router.Epoch(),

@@ -29,6 +29,7 @@ func (a *Agent) handleView(v *wire.View) {
 	if err != nil || !changed {
 		return
 	}
+	a.batch = max(a.batch, v.BatchID)
 	epoch := a.router.Epoch()
 	if epoch <= a.migratedEpoch {
 		return
@@ -480,7 +481,7 @@ func (a *Agent) handleBatchOpen() {
 	}
 	a.refreshRegistrations(gate)
 	masters := a.countMasters()
-	batchID := uint32(a.router.BatchID())
+	batchID := uint32(a.batch)
 	a.voteWhenDrained(gate, func() {
 		a.sendReady(batchID, wire.PhaseBatch, masters)
 	})

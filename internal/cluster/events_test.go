@@ -187,6 +187,9 @@ func TestChaosTimelineCausalOrder(t *testing.T) {
 	if migration == nil {
 		t.Fatal("no migration-start event after the override rebase")
 	}
+	if f, ok := migration.Field("cause"); !ok || f.Value() != "membership" {
+		t.Fatalf("eviction's migration-start cause = %q, want membership", f.Value())
+	}
 	if !(evict.Seq < rebase.Seq && rebase.Seq < migration.Seq) {
 		t.Fatalf("recovery events out of causal order: evict=%d rebase=%d migration=%d",
 			evict.Seq, rebase.Seq, migration.Seq)

@@ -100,8 +100,11 @@ type Directory struct {
 	agents      map[uint64]string
 	// leases maps each agent to its last heartbeat (or join) time; an
 	// agent silent past Config.LeaseExpiry is evicted.
-	leases  map[uint64]time.Time
-	sk      *sketch.Sketch
+	leases map[uint64]time.Time
+	sk     *sketch.Sketch
+	// skDirty records that a merged delta moved some cell's replica
+	// count since the last view broadcast; only then does a seal pay for
+	// a rebroadcast and migration round (see maybeFinishSeal).
 	skDirty bool
 	n       uint64
 	// lastView is an owned buffer (never aliases a pooled frame): the
@@ -681,7 +684,8 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 	case wire.TSketchDelta:
 		var delta sketch.Sketch
 		if err := delta.UnmarshalBinary(pkt.Payload); err == nil {
-			if err := d.sk.Merge(&delta); err == nil && delta.Count() > 0 {
+			cfg := &d.opts.Config
+			if moved, err := d.sk.Merge(&delta, cfg.ReplicationThreshold, cfg.MaxReplicas); err == nil && moved {
 				d.skDirty = true
 			}
 		}
@@ -882,9 +886,26 @@ func (d *Directory) applyMembership() {
 		d.event(events.Info, events.KindOverrideRebase, trace.SpanContext{},
 			events.U("pruned", uint64(pruned)), events.U("overrides", uint64(len(d.overrides))))
 	}
+	d.openMigration(causeMembership, leavers)
+	d.maybeFinishMigration()
+}
+
+// Migration-round causes, recorded on the migration-start event so the
+// timeline shows which batches paid for a rebalance.
+const (
+	causeMembership  = "membership"
+	causeSketch      = "sketch"
+	causeRepartition = "repartition"
+)
+
+// openMigration bumps the epoch, broadcasts the new view, and opens the
+// migration round of §3.4.3: every member, plus any leaver still shipping
+// its data away, must vote before queued work resumes. An open round is
+// superseded (an eviction re-bases it on the survivors). Callers run
+// maybeFinishMigration once their own bookkeeping is done.
+func (d *Directory) openMigration(cause string, leavers map[uint64]bool) {
 	d.epoch++
 	d.broadcastView()
-
 	expected := make(map[uint64]bool, len(d.agents)+len(leavers))
 	for id := range d.agents {
 		expected[id] = true
@@ -897,10 +918,10 @@ func (d *Directory) applyMembership() {
 		expected: expected,
 		votes:    make(map[uint64]bool),
 	}
-	trace.Printf("dir migration-start epoch=%d expected=%v", d.epoch, expected)
+	trace.Printf("dir migration-start epoch=%d cause=%s expected=%v", d.epoch, cause, expected)
 	d.event(events.Info, events.KindMigrationStart, trace.SpanContext{},
-		events.U("epoch", d.epoch), events.U("expected", uint64(len(expected))))
-	d.maybeFinishMigration()
+		events.U("epoch", d.epoch), events.U("expected", uint64(len(expected))),
+		events.S("cause", cause))
 }
 
 func (d *Directory) maybeFinishMigration() {
@@ -947,22 +968,10 @@ func (d *Directory) maybeFinishSeal() {
 		d.n = s.masters
 	}
 	if d.skDirty {
-		// The merged sketch may change replica counts; rebroadcast and
+		// A merged delta moved some cell's replica count; rebroadcast and
 		// run a migration round before starting work (§3.4.3).
 		d.skDirty = false
-		d.epoch++
-		d.broadcastView()
-		expected := make(map[uint64]bool, len(d.agents))
-		for id := range d.agents {
-			expected[id] = true
-		}
-		d.migration = &migrationState{
-			epochLow: uint32(d.epoch),
-			expected: expected,
-			votes:    make(map[uint64]bool),
-		}
-		d.event(events.Info, events.KindMigrationStart, trace.SpanContext{},
-			events.U("epoch", d.epoch), events.U("expected", uint64(len(expected))))
+		d.openMigration(causeSketch, nil)
 		// Defer the ingest replies until the migration round finishes.
 		d.sealDone = append(d.sealDone, d.pendingSeals...)
 		d.pendingSeals = nil
@@ -974,8 +983,10 @@ func (d *Directory) maybeFinishSeal() {
 		wire.ReleasePacket(pkt)
 	}
 	d.pendingSeals = nil
-	// The sketch-clean seal path bumps batchID without a view broadcast;
-	// persist the new batch watermark here.
+	// No replica count moved, so every agent's routing is already exact:
+	// no epoch bump, no broadcast, no migration round. The merged sketch
+	// stays in d.sk and rides the next broadcast; persist it and the new
+	// batch watermark here.
 	d.checkpointCoord()
 	d.maybeStartRun()
 }
@@ -1144,21 +1155,9 @@ func (d *Directory) evictAgents(dead []uint64) {
 	pruned := d.pruneOverrides(dead)
 	d.event(events.Info, events.KindOverrideRebase, trace.SpanContext{},
 		events.U("pruned", uint64(pruned)), events.U("overrides", uint64(len(d.overrides))))
-	d.epoch++
-	d.broadcastView()
-	expected := make(map[uint64]bool, len(d.agents))
-	for id := range d.agents {
-		expected[id] = true
-	}
 	// Supersede any in-flight migration: survivors re-migrate under the
 	// new epoch and re-vote; only live agents are expected.
-	d.migration = &migrationState{
-		epochLow: uint32(d.epoch),
-		expected: expected,
-		votes:    make(map[uint64]bool),
-	}
-	d.event(events.Info, events.KindMigrationStart, trace.SpanContext{},
-		events.U("epoch", d.epoch), events.U("expected", uint64(len(expected))))
+	d.openMigration(causeMembership, nil)
 	if s := d.seal; s != nil {
 		for _, id := range dead {
 			delete(s.votes, id)
@@ -1256,7 +1255,9 @@ func (d *Directory) handleReady(m *wire.Ready) {
 			d.maybeFinishMigration()
 		}
 	case wire.PhaseBatch:
-		if s := d.seal; s != nil {
+		// Agents echo the batch ID their TBatchOpen carried, so a vote
+		// for any other batch cannot close this seal.
+		if s := d.seal; s != nil && m.Step == uint32(d.batchID) {
 			if _, ok := d.agents[m.AgentID]; ok && !s.votes[m.AgentID] {
 				s.votes[m.AgentID] = true
 				s.masters += m.Masters

@@ -168,42 +168,41 @@ func TestSealAggregatesMasters(t *testing.T) {
 	}
 }
 
-func TestSketchDeltaMergesIntoView(t *testing.T) {
-	nw := transport.NewInproc()
-	m := startMaster(t, nw)
-	d := startDir(t, nw, m.Addr())
-	joinFake(t, nw, d.Addr())
-
-	// Push a delta, then seal; the next view broadcast must carry the
-	// merged sketch (skDirty triggers a rebroadcast during seal).
-	sender, err := transport.NewNode(nw, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
+// sendDelta pushes a one-key sketch delta to the coordinator and waits
+// for it to be acknowledged (merged).
+func sendDelta(t *testing.T, sender *transport.Node, coord string, key uint64, n uint32) {
+	t.Helper()
 	cfgv := testCfg()
 	delta := cfgv.NewSketch()
-	delta.AddN(42, 99)
+	delta.AddN(key, n)
 	data, _ := delta.MarshalBinary()
-	if err := sender.SendAcked(d.Addr(), wire.TSketchDelta, data); err != nil {
+	if err := sender.SendAcked(coord, wire.TSketchDelta, data); err != nil {
 		t.Fatal(err)
 	}
 	if err := sender.Flush(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Subscribe a watcher and seal.
+}
+
+// subscribeViews attaches a watcher to the coordinator's view broadcasts.
+func subscribeViews(t *testing.T, nw transport.Network, coord string) *transport.Node {
+	t.Helper()
 	watcher, err := transport.NewNode(nw, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer watcher.Close()
-	if err := watcher.Send(d.Addr(), wire.TSubscribe, wire.SubscribeTypes(wire.TDirUpdate)); err != nil {
+	t.Cleanup(watcher.Close)
+	if err := watcher.Send(coord, wire.TSubscribe, wire.SubscribeTypes(wire.TDirUpdate)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sender.Request(d.Addr(), wire.TIngest, nil, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(5 * time.Second)
+	return watcher
+}
+
+// nextView returns the first view broadcast with an epoch above after,
+// skipping the subscription catch-up (and its retransmissions).
+func nextView(t *testing.T, watcher *transport.Node, after uint64) *wire.View {
+	t.Helper()
+	deadline := time.After(3 * time.Second)
 	for {
 		select {
 		case pkt := <-watcher.Inbox():
@@ -214,16 +213,87 @@ func TestSketchDeltaMergesIntoView(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var sk sketch.Sketch
-			if err := sk.UnmarshalBinary(v.Sketch); err != nil {
-				t.Fatal(err)
-			}
-			if sk.Estimate(42) >= 99 {
-				return // merged sketch observed
+			if v.Epoch > after {
+				return v
 			}
 		case <-deadline:
-			t.Fatal("merged sketch never broadcast")
+			t.Fatalf("no view above epoch %d broadcast", after)
 		}
+	}
+}
+
+func estimateIn(t *testing.T, v *wire.View, key uint64) uint64 {
+	t.Helper()
+	var sk sketch.Sketch
+	if err := sk.UnmarshalBinary(v.Sketch); err != nil {
+		t.Fatal(err)
+	}
+	return sk.Estimate(key)
+}
+
+// TestSketchDeltaMergesIntoView pushes a delta that moves vertex 42 past
+// the replication threshold (256), then seals: the seal's view broadcast
+// must carry the merged sketch.
+func TestSketchDeltaMergesIntoView(t *testing.T) {
+	nw := transport.NewInproc()
+	m := startMaster(t, nw)
+	d := startDir(t, nw, m.Addr())
+	joinFake(t, nw, d.Addr())
+
+	sender, err := transport.NewNode(nw, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	sendDelta(t, sender, d.Addr(), 42, 300)
+	epoch := d.StatsMap()["epoch"]
+	watcher := subscribeViews(t, nw, d.Addr())
+	if _, err := sender.Request(d.Addr(), wire.TIngest, nil, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := estimateIn(t, nextView(t, watcher, epoch), 42); got < 300 {
+		t.Fatalf("seal broadcast Estimate(42) = %d, want >= 300", got)
+	}
+}
+
+// TestBucketNeutralSealSkipsMigration pins the seal's skip rule: a delta
+// that moves no replica count (99 < 256) must seal with no view broadcast
+// and no epoch bump, yet stay merged — the next crossing delta (200, which
+// alone would not cross) broadcasts a view carrying both.
+func TestBucketNeutralSealSkipsMigration(t *testing.T) {
+	nw := transport.NewInproc()
+	m := startMaster(t, nw)
+	d := startDir(t, nw, m.Addr())
+	joinFake(t, nw, d.Addr())
+
+	sender, err := transport.NewNode(nw, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	epoch := d.StatsMap()["epoch"]
+	watcher := subscribeViews(t, nw, d.Addr())
+
+	sendDelta(t, sender, d.Addr(), 42, 99)
+	if _, err := sender.Request(d.Addr(), wire.TIngest, nil, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.StatsMap()["epoch"]; got != epoch {
+		t.Fatalf("bucket-neutral seal moved the epoch %d -> %d", epoch, got)
+	}
+
+	sendDelta(t, sender, d.Addr(), 42, 200)
+	if _, err := sender.Request(d.Addr(), wire.TIngest, nil, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Had the neutral seal broadcast, its view (epoch+1, estimate 99)
+	// would be the first one above the catch-up.
+	v := nextView(t, watcher, epoch)
+	if v.Epoch != epoch+1 {
+		t.Fatalf("first broadcast after the seals has epoch %d, want %d", v.Epoch, epoch+1)
+	}
+	if got := estimateIn(t, v, 42); got < 299 {
+		t.Fatalf("crossing seal broadcast Estimate(42) = %d, want >= 299 (both deltas)", got)
 	}
 }
 

@@ -61,19 +61,7 @@ func (d *Directory) maybeRepartition() bool {
 	// Same machinery as a membership change: new epoch, new view (now
 	// carrying the overrides), and a migration barrier so every agent
 	// re-evaluates copy ownership before computation resumes.
-	d.epoch++
-	d.broadcastView()
-	expected := make(map[uint64]bool, len(d.agents))
-	for id := range d.agents {
-		expected[id] = true
-	}
-	d.migration = &migrationState{
-		epochLow: uint32(d.epoch),
-		expected: expected,
-		votes:    make(map[uint64]bool),
-	}
-	d.event(events.Info, events.KindMigrationStart, trace.SpanContext{},
-		events.U("epoch", d.epoch), events.U("expected", uint64(len(expected))))
+	d.openMigration(causeRepartition, nil)
 	d.maybeFinishMigration()
 	return true
 }

@@ -69,7 +69,6 @@ func shardOf(v graph.VertexID) uint64 {
 type Router struct {
 	cfg   config.Config
 	epoch uint64
-	batch uint64
 	n     uint64
 	ring  *consistent.Ring
 	sk    *sketch.Sketch
@@ -158,7 +157,6 @@ func (r *Router) Update(v *wire.View) (bool, error) {
 		}
 	}
 	r.epoch = v.Epoch
-	r.batch = v.BatchID
 	r.n = v.N
 	r.ring = consistent.New(members, consistent.Options{Virtual: r.cfg.Virtual, Hash: r.cfg.Hash})
 	r.sk = sk
@@ -172,9 +170,6 @@ func (r *Router) Update(v *wire.View) (bool, error) {
 
 // Epoch returns the installed view's epoch.
 func (r *Router) Epoch() uint64 { return r.epoch }
-
-// BatchID returns the installed view's batch clock.
-func (r *Router) BatchID() uint64 { return r.batch }
 
 // N returns the view's global vertex count estimate.
 func (r *Router) N() uint64 { return r.n }

@@ -55,7 +55,7 @@ func TestUpdateInstallsView(t *testing.T) {
 	if err != nil || !changed {
 		t.Fatalf("update: %v %v", changed, err)
 	}
-	if r.Epoch() != 3 || r.NumAgents() != 3 || r.N() != 100 || r.BatchID() != 3 {
+	if r.Epoch() != 3 || r.NumAgents() != 3 || r.N() != 100 {
 		t.Fatalf("router state: epoch=%d agents=%d", r.Epoch(), r.NumAgents())
 	}
 	addr, ok := r.AddrOf(2)

@@ -119,26 +119,42 @@ func (s *Sketch) Estimate(key uint64) uint64 {
 	return uint64(min)
 }
 
-// Merge adds other into s cell-wise. Both sketches must have identical
-// dimensions (and therefore identical row seeds). Directories use Merge to
-// aggregate per-agent sketch deltas before rebroadcasting.
-func (s *Sketch) Merge(other *Sketch) error {
+// Merge adds other into s cell-wise and reports whether any cell's
+// replica count, Replicas(cell, threshold, maxReplicas), changed. Both
+// sketches must have identical dimensions (and therefore identical row
+// seeds). The coordinator merges every agent's sketch delta through it.
+//
+// The report is exact for routing: Replicas is monotone non-decreasing,
+// so Replicas(min_r c_r) = min_r Replicas(c_r), and a key's replica count
+// Replicas(Estimate(key)) can only change if one of its cells does. When
+// Merge reports false, every key keeps its replica count, so a router
+// built from the merged sketch places every edge exactly as one built
+// from s before the merge.
+func (s *Sketch) Merge(other *Sketch, threshold uint64, maxReplicas int) (bool, error) {
 	if other.width != s.width || other.depth != s.depth {
-		return fmt.Errorf("sketch: merge dimension mismatch %dx%d vs %dx%d",
+		return false, fmt.Errorf("sketch: merge dimension mismatch %dx%d vs %dx%d",
 			s.width, s.depth, other.width, other.depth)
 	}
+	moved := false
 	for r := range s.rows {
 		row, orow := s.rows[r], other.rows[r]
-		for i := range row {
-			v := uint64(row[i]) + uint64(orow[i])
+		for i, o := range orow {
+			if o == 0 {
+				continue
+			}
+			old := row[i]
+			v := uint64(old) + uint64(o)
 			if v > math.MaxUint32 {
 				v = math.MaxUint32
 			}
 			row[i] = uint32(v)
+			if !moved && Replicas(uint64(old), threshold, maxReplicas) != Replicas(v, threshold, maxReplicas) {
+				moved = true
+			}
 		}
 	}
 	s.count += other.count
-	return nil
+	return moved, nil
 }
 
 // Clone returns a deep copy.

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -98,7 +99,7 @@ func TestMerge(t *testing.T) {
 		a.Add(i)
 		b.AddN(i, 2)
 	}
-	if err := a.Merge(b); err != nil {
+	if _, err := a.Merge(b, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 100; i++ {
@@ -112,11 +113,122 @@ func TestMerge(t *testing.T) {
 }
 
 func TestMergeDimensionMismatch(t *testing.T) {
-	if err := New(8, 2).Merge(New(16, 2)); err == nil {
+	if _, err := New(8, 2).Merge(New(16, 2), 0, 1); err == nil {
 		t.Error("expected error for width mismatch")
 	}
-	if err := New(8, 2).Merge(New(8, 3)); err == nil {
+	if _, err := New(8, 2).Merge(New(8, 3), 0, 1); err == nil {
 		t.Error("expected error for depth mismatch")
+	}
+}
+
+// cellsOf decodes a sketch's cells from its wire encoding, so the merge
+// report can be checked against the cells themselves rather than through
+// Merge's own bookkeeping.
+func cellsOf(t *testing.T, s *Sketch) []uint32 {
+	t.Helper()
+	buf, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]uint32, 0, s.Width()*s.Depth())
+	for off := 16; off < len(buf); off += 4 {
+		cells = append(cells, binary.LittleEndian.Uint32(buf[off:]))
+	}
+	return cells
+}
+
+// TestMergeReportsReplicaMoves is the bucket-aware merge's property test:
+// for random sketches and deltas (counters saturated near MaxUint32
+// included, splitting disabled by a zero threshold or a single replica
+// included), the report must be true exactly when some cell's replica
+// count changed, the cells must be the saturating sums, and when the
+// report is false every sampled key must keep Replicas(Estimate(key)).
+func TestMergeReportsReplicaMoves(t *testing.T) {
+	const trials, sampled = 120, 10000
+	rng := rand.New(rand.NewSource(12))
+	policies := []struct {
+		threshold uint64
+		max       int
+	}{
+		{0, 8}, {256, 1}, {1, 2}, {7, 3}, {256, 8}, {1 << 31, 4}, {3, 1 << 20},
+	}
+	// Deltas straddle the bucket width: many cells stay inside a bucket,
+	// some cross one.
+	add := func(s *Sketch, keys []uint64, scale uint32) {
+		for i := 0; i < 1+rng.Intn(6); i++ {
+			k := keys[rng.Intn(len(keys))]
+			switch rng.Intn(8) {
+			case 0:
+				s.AddN(k, math.MaxUint32-uint32(rng.Intn(1000)))
+			case 1:
+				s.AddN(k, uint32(rng.Intn(1<<20)))
+			default:
+				s.AddN(k, 1+uint32(rng.Intn(int(scale))))
+			}
+		}
+	}
+	var neutral, moved int
+	for trial := 0; trial < trials; trial++ {
+		p := policies[trial%len(policies)]
+		s := New(16+rng.Intn(48), 1+rng.Intn(4))
+		keys := make([]uint64, 32)
+		for i := range keys {
+			keys[i] = rng.Uint64()
+		}
+		scale := uint32(4)
+		if p.threshold > 0 && p.threshold < 1<<20 {
+			scale = uint32(p.threshold)
+		}
+		add(s, keys, 8*scale)
+		delta := New(s.Width(), s.Depth())
+		add(delta, keys, scale/2+1)
+
+		sample := append([]uint64(nil), keys...)
+		for len(sample) < sampled {
+			sample = append(sample, rng.Uint64())
+		}
+		before := make([]int, len(sample))
+		for i, k := range sample {
+			before[i] = Replicas(s.Estimate(k), p.threshold, p.max)
+		}
+		oldCells, deltaCells := cellsOf(t, s), cellsOf(t, delta)
+
+		got, err := s.Merge(delta, p.threshold, p.max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newCells := cellsOf(t, s)
+		want := false
+		for i := range newCells {
+			sum := uint64(oldCells[i]) + uint64(deltaCells[i])
+			if sum > math.MaxUint32 {
+				sum = math.MaxUint32
+			}
+			if uint64(newCells[i]) != sum {
+				t.Fatalf("trial %d: cell %d = %d, want saturating sum %d", trial, i, newCells[i], sum)
+			}
+			if Replicas(uint64(oldCells[i]), p.threshold, p.max) != Replicas(sum, p.threshold, p.max) {
+				want = true
+			}
+		}
+		if got != want {
+			t.Fatalf("trial %d (threshold=%d max=%d): Merge reported %v, cells say %v",
+				trial, p.threshold, p.max, got, want)
+		}
+		if got {
+			moved++
+			continue
+		}
+		neutral++
+		for i, k := range sample {
+			if after := Replicas(s.Estimate(k), p.threshold, p.max); after != before[i] {
+				t.Fatalf("trial %d (threshold=%d max=%d): key %d moved %d -> %d but Merge reported no move",
+					trial, p.threshold, p.max, k, before[i], after)
+			}
+		}
+	}
+	if neutral < trials/5 || moved < trials/5 {
+		t.Fatalf("schedule exercised %d neutral and %d moving merges; want both >= %d", neutral, moved, trials/5)
 	}
 }
 
@@ -257,7 +369,7 @@ func TestMergeGEQComponentsProperty(t *testing.T) {
 			b.Add(uint64(k))
 		}
 		ac, bc := a.Clone(), b.Clone()
-		if err := a.Merge(b); err != nil {
+		if _, err := a.Merge(b, 0, 1); err != nil {
 			return false
 		}
 		for k := uint64(0); k < 256; k++ {

@@ -100,6 +100,17 @@ func TestStatsCountEnqueueStalls(t *testing.T) {
 		}
 		sent <- nil
 	}()
+	// Drain nothing until the sender has provably stalled: with the
+	// inbox, inproc channel, and peer queue all full, the next enqueue
+	// must count a stall before it blocks. A consumer running earlier
+	// could keep pace with the sender and never let it stall.
+	stallBy := time.Now().Add(30 * time.Second)
+	for a.Stats().EnqueueStalls == 0 {
+		if time.Now().After(stallBy) {
+			t.Fatal("saturated pipeline recorded no enqueue stalls")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	got := 0
 	deadline := time.After(30 * time.Second)
 	for got < total {
