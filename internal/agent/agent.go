@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"elga/internal/algorithm"
-	"elga/internal/autoscale"
 	"elga/internal/checkpoint"
 	"elga/internal/config"
 	"elga/internal/consistent"
@@ -235,11 +234,12 @@ type Agent struct {
 	storeBytes    atomic.Uint64 // O(1) store footprint estimate, scraped off-thread
 
 	// m holds optional instrumentation handles (nil without a registry);
-	// tickCount and lastRetransmits pace the periodic load-metric report
-	// riding every fourth heartbeat tick.
+	// tickCount paces the full report on every fourth heartbeat tick;
+	// lastRetransmits feeds its retransmission delta.
 	m               agentMetrics
 	tickCount       uint64
 	lastRetransmits uint64
+	samples         sampleSet
 
 	// comm is the repartition scatter-traffic ledger (repart.go); its
 	// enabled flag gates every accounting touch point.
@@ -362,7 +362,7 @@ func Start(opts Options) (*Agent, error) {
 	// Joins are idempotent at the coordinator (deduplicated by address),
 	// so retrying a timed-out join cannot mint a second agent ID — and a
 	// retried join gets its reply re-sent immediately. Short tries matter
-	// here: until the reply lands this agent sends no heartbeats, so every
+	// here: until the reply lands this agent sends no reports, so every
 	// second spent waiting on a dropped reply runs down its lease.
 	joinPolicy := policy
 	joinPolicy.Attempts = 20
@@ -484,9 +484,13 @@ func (a *Agent) releaseVoteHold() {
 	}
 	a.delayHold = nil
 	g.pending--
-	if g.pending > 0 {
-		return
+	if g.pending == 0 {
+		a.gateDrained(g)
 	}
+}
+
+// gateDrained fires the barrier votes deferred on a drained vote gate.
+func (a *Agent) gateDrained(g *ackGroup) {
 	kept := a.pendingVotes[:0]
 	for _, pv := range a.pendingVotes {
 		if pv.gate == g {
@@ -536,7 +540,7 @@ func (a *Agent) runLoop(initial *wire.View) {
 	if initial != nil {
 		a.handleView(initial)
 	}
-	a.sendHeartbeat()
+	a.report(false)
 	a.scheduleHeartbeat()
 	for pkt := range a.node.Inbox() {
 		retained := a.handlePacket(pkt)
@@ -550,13 +554,12 @@ func (a *Agent) runLoop(initial *wire.View) {
 			break
 		}
 	}
-	// Ship whatever sampled spans are still pending while the node may
-	// still deliver them. The flight recorder is NOT dumped here: a
-	// graceful exit is not a post-mortem, and routine dumps would spam
-	// stderr on every traced shutdown. Fault paths (eviction, kill)
+	// Report whatever spans, events, and samples are still pending while
+	// the node may still deliver them. The flight recorder is NOT dumped
+	// here: a graceful exit is not a post-mortem, and routine dumps would
+	// spam stderr on every traced shutdown. Fault paths (eviction, kill)
 	// dump explicitly before this point.
-	a.shipSpans()
-	a.shipEvents()
+	a.report(true)
 	// Drain the checkpoint writer so the last submitted snapshot is
 	// durable before the process goes away, and release any live CPU
 	// profiling window so the process-wide slot is not leaked.
@@ -601,14 +604,12 @@ func (a *Agent) handlePacket(pkt *wire.Packet) bool {
 	case wire.TAlgoDone:
 		a.handleAlgoDone(pkt)
 		a.node.Ack(pkt)
-		// Flush completed spans and the scatter digest promptly at run
+		// Report completed spans and the scatter digest promptly at run
 		// end rather than waiting out the tick cadence — the collector
 		// wants the final steps, the planner wants fresh evidence. Run
 		// completion is also a forced checkpoint: final vertex values are
 		// exactly what a restarted agent must not lose.
-		a.shipSpans()
-		a.shipEvents()
-		a.sendDigest()
+		a.report(true)
 		a.checkpointNow()
 	case wire.TBatchOpen:
 		if len(pkt.Payload) >= 8 {
@@ -634,21 +635,16 @@ func (a *Agent) handlePacket(pkt *wire.Packet) bool {
 			}
 			return false
 		}
-		// Self-addressed heartbeat tick: renew the lease from the event
-		// loop, where id/epoch/leaving are safe to read. Every fourth
-		// tick piggybacks a load report so the directory's autoscaler
-		// sees queue pressure and fault signals between supersteps;
-		// completed trace spans ship on the same cadence.
-		a.sendHeartbeat()
+		// Self-addressed heartbeat tick: report from the event loop,
+		// where id/leaving are safe to read. Every fourth report is full
+		// (load samples, spans, events, digest, checkpoint mark).
 		a.tickCount++
 		if a.tickCount%4 == 0 {
-			a.sendLoadMetrics()
-			a.shipSpans()
-			a.shipEvents()
-			a.sendDigest()
 			a.maybeCheckpointTimed()
-			a.maybeSendCheckpointMark()
+			a.report(true)
 			a.profileTick()
+		} else {
+			a.report(false)
 		}
 	case wire.TProfileReq:
 		a.handleProfileReq(pkt)
@@ -679,19 +675,7 @@ func (a *Agent) onAck(req uint32) {
 			g.origin = nil
 			continue
 		}
-		// Drained vote gates fire their deferred barrier votes.
-		kept := a.pendingVotes[:0]
-		for _, pv := range a.pendingVotes {
-			if pv.gate == g {
-				pv.fire()
-			} else {
-				kept = append(kept, pv)
-			}
-		}
-		a.pendingVotes = kept
-		if g == a.phaseGate {
-			a.maybeReady()
-		}
+		a.gateDrained(g)
 	}
 }
 
@@ -763,6 +747,7 @@ func (a *Agent) sendReady(step uint32, phase uint8, masters uint64) {
 		Step:    step,
 		Phase:   phase,
 		Masters: masters,
+		Samples: a.samples.take(),
 	}
 	if a.run != nil && (phase == wire.PhaseCompute || phase == wire.PhaseCombine) {
 		r.ActiveNext = a.run.activeNext
@@ -784,6 +769,16 @@ func (a *Agent) maybeReady() {
 	}
 	r.readySent = true
 	r.votedAt = time.Now()
+	// Metric collection API (§3.4.3): the phase time feeds the local
+	// histogram and rides this vote to the directory's autoscaler sink.
+	timed := !r.phaseStart.IsZero()
+	if dur := r.votedAt.Sub(r.phaseStart).Seconds(); timed && r.phase == wire.PhaseCompute {
+		a.m.phaseCompute.Observe(dur)
+		a.samples.add(wire.MetricStepTime, dur)
+	} else if timed && r.phase == wire.PhaseCombine {
+		a.m.phaseCombine.Observe(dur)
+		a.samples.add(wire.MetricCombineTime, dur)
+	}
 	a.sendReady(r.step, r.phase, 0)
 	// The phase span closes at the vote; the barrier-wait span opens under
 	// it and runs until the next Advance lands (handleAdvance ends it) —
@@ -797,16 +792,7 @@ func (a *Agent) maybeReady() {
 	// report only combine-phase contributions.
 	r.activeNext = 0
 	r.residual = 0
-	// Metric collection API (§3.4.3): superstep phase times flow to the
-	// directory's autoscaler sink and the local phase histograms.
-	if r.phaseStart.IsZero() {
-		return
-	}
-	dur := r.votedAt.Sub(r.phaseStart).Seconds()
-	switch r.phase {
-	case wire.PhaseCompute:
-		a.m.phaseCompute.Observe(dur)
-		a.sendMetric(autoscale.MetricStepTime, dur)
+	if timed && r.phase == wire.PhaseCompute {
 		// Durability cadence rides the post-vote safe point: the barrier
 		// vote is already out, so snapshot encoding overlaps the barrier
 		// wait instead of stretching the superstep. Superstep-scoped
@@ -814,28 +800,44 @@ func (a *Agent) maybeReady() {
 		// samples with compute phases.
 		a.maybeCheckpointStep()
 		a.maybeProfileStep()
-	case wire.PhaseCombine:
-		a.m.phaseCombine.Observe(dur)
-		a.sendMetric(autoscale.MetricCombineTime, dur)
 	}
 }
 
-// sendHeartbeat renews this agent's lease at the coordinator. Heartbeats
-// are deliberately lossy (unacked): the lease timeout absorbs several
-// consecutive losses, and a false eviction is recoverable — the
-// coordinator pushes the latest view back to any zombie it hears from.
-func (a *Agent) sendHeartbeat() {
-	if a.leaving {
+// report sends one lossy TReport: the lease renewal, pending samples
+// and, when full, load samples, spans, events, the scatter digest, and
+// the newest checkpoint mark. The lease timeout absorbs lost reports,
+// and a false eviction is recoverable — the coordinator pushes the latest
+// view back to any zombie whose lease it hears. A leaving agent renews
+// no lease (the coordinator may already have dropped it) and sends no
+// load, digest, or mark.
+func (a *Agent) report(full bool) {
+	rep := wire.Report{AgentID: a.id, Lease: !a.leaving}
+	if full {
+		if !a.leaving {
+			a.loadSamples()
+			rep.Digest = a.digest()
+			rep.Mark = a.checkpointMark()
+		}
+		if batch := a.tracer.TakeBatch(); batch != nil {
+			rep.Spans = &wire.SpanBatch{Proc: a.tracer.Proc(), Spans: batch}
+		}
+		rep.Events, rep.Dropped = a.journal.TakeBatch(), a.journal.Dropped()
+	}
+	rep.Samples = a.samples.take()
+	if rep.Empty() {
 		return
 	}
-	_ = a.node.SendFrame(a.coordAddr, wire.AppendHeartbeat(
-		a.node.NewFrame(wire.THeartbeat), &wire.Heartbeat{AgentID: a.id, Epoch: a.router.Epoch()}))
+	hint := 256 + 64*len(rep.Events)
+	if rep.Spans != nil {
+		hint += 64 * len(rep.Spans.Spans)
+	}
+	_ = a.node.SendFrame(a.coordAddr, wire.AppendReport(a.node.NewFrameHint(wire.TReport, hint), &rep))
 }
 
 // scheduleHeartbeat runs the lease-renewal clock. The timer re-arms
 // itself directly (so a lost tick cannot kill the chain) and injects a
 // TTick, moving the actual send onto the event loop; the injection
-// bypasses the transport so only the heartbeat itself rides the lossy
+// bypasses the transport so only the report itself rides the lossy
 // network.
 func (a *Agent) scheduleHeartbeat() {
 	if a.stopped.Load() {
@@ -847,55 +849,43 @@ func (a *Agent) scheduleHeartbeat() {
 	})
 }
 
-// sendLoadMetrics reports queue depths and the retransmission delta to
-// the coordinator — the backpressure/fault half of the metric API, sent
-// on a heartbeat-derived cadence so it flows even between runs.
-func (a *Agent) sendLoadMetrics() {
-	if a.leaving {
-		return
-	}
-	a.sendMetric(autoscale.MetricInboxDepth, float64(a.node.InboxDepth()))
-	a.sendMetric(autoscale.MetricQueueDepth, float64(a.node.QueueDepth()))
-	// Goroutine count rides the same report so the health attributor can
-	// tell a goroutine pile-up (stuck sends, leaked workers) from plain
-	// queue depth.
-	a.sendMetric(autoscale.MetricGoroutines, float64(runtime.NumGoroutine()))
+// loadSamples queues the backpressure/fault half of the metric API on
+// the full-report cadence, so it flows even between runs. The goroutine
+// count lets the health attributor tell a goroutine pile-up (stuck
+// sends, leaked workers) from plain queue depth.
+func (a *Agent) loadSamples() {
+	a.samples.add(wire.MetricInboxDepth, float64(a.node.InboxDepth()))
+	a.samples.add(wire.MetricQueueDepth, float64(a.node.QueueDepth()))
+	a.samples.add(wire.MetricGoroutines, float64(runtime.NumGoroutine()))
 	rexmits := a.node.Stats().Retransmits
-	a.sendMetric(autoscale.MetricRetransmits, float64(rexmits-a.lastRetransmits))
+	a.samples.add(wire.MetricRetransmits, float64(rexmits-a.lastRetransmits))
 	a.lastRetransmits = rexmits
 }
 
-// shipSpans drains the tracer's sampled-span backlog to the coordinator
-// as one lossy TSpanBatch — same delivery class as TMetric: a lost batch
-// costs visibility, never correctness, and the tracer's bounded pending
-// queue plus drop counter absorb any backpressure.
-func (a *Agent) shipSpans() {
-	batch := a.tracer.TakeBatch()
-	if batch == nil {
-		return
-	}
-	sb := wire.SpanBatch{Proc: a.tracer.Proc(), Spans: batch}
-	_ = a.node.SendFrame(a.coordAddr, wire.AppendSpanBatch(
-		a.node.NewFrameHint(wire.TSpanBatch, 16+64*len(batch)), &sb))
+// sampleSet holds event-driven samples (phase times, batch-boundary
+// counters, migration bytes) until the next vote or report, whichever
+// goes first. A newer sample of a metric replaces its pending one, so
+// the fixed capacity never overflows and queueing never allocates.
+type sampleSet struct {
+	buf [wire.NumMetricIDs]wire.Sample
+	n   int
 }
 
-// shipEvents drains the journal's pending events to the coordinator as
-// one lossy TEventBatch, carrying the cumulative drop counter so the
-// timeline can account what never arrived.
-func (a *Agent) shipEvents() {
-	batch := a.journal.TakeBatch()
-	if batch == nil {
-		return
+func (s *sampleSet) add(id wire.MetricID, v float64) {
+	i := 0
+	for i < s.n && s.buf[i].ID != id {
+		i++
 	}
-	_ = a.node.SendFrame(a.coordAddr, wire.AppendEventBatch(
-		a.node.NewFrameHint(wire.TEventBatch, 16+64*len(batch)), batch, a.journal.Dropped()))
+	s.buf[i] = wire.Sample{ID: id, Value: v}
+	s.n = max(s.n, i+1)
 }
 
-// sendMetric pushes one autoscaler sample to the coordinator.
-func (a *Agent) sendMetric(name string, value float64) {
-	_ = a.node.SendFrame(a.coordAddr, wire.AppendMetric(a.node.NewFrame(wire.TMetric), &wire.Metric{
-		AgentID: a.id, Name: name, Value: value,
-	}))
+// take empties the set, returning its samples; the slice aliases the
+// set, so callers encode it before the next add.
+func (s *sampleSet) take() []wire.Sample {
+	out := s.buf[:s.n]
+	s.n = 0
+	return out
 }
 
 // Stats returns internal counters (forwarded packets, applied changes,

@@ -24,7 +24,7 @@ type agentCkpt struct {
 	stepsSince int    // compute phases since the last snapshot
 	lastTimed  time.Time
 	// lastMarkSeq is the last snapshot sequence reported to the
-	// coordinator; marks ride the lossy metric cadence.
+	// coordinator; marks ride the lossy full-report cadence.
 	lastMarkSeq uint64
 	// restored is the cut stamp of the manifest this process restored
 	// from, attached to the join so the coordinator's cut table covers
@@ -189,22 +189,21 @@ func (a *Agent) isActiveForCkpt(v graph.VertexID) bool {
 	return false
 }
 
-// maybeSendCheckpointMark reports a newly durable snapshot to the
-// coordinator's cut table. Lossy, riding the metric cadence: the
-// snapshot is already safe on disk, the mark only freshens the
-// coordinator's view of it.
-func (a *Agent) maybeSendCheckpointMark() {
+// checkpointMark returns a newly durable snapshot's mark for the next
+// full report (nil when there is none), feeding the coordinator's cut
+// table. Lossy: the snapshot is already safe on disk, the mark only
+// freshens the coordinator's view of it.
+func (a *Agent) checkpointMark() *wire.CheckpointMark {
 	w := a.ckpt.writer
-	if w == nil || a.leaving {
-		return
+	if w == nil {
+		return nil
 	}
 	mark := w.LastMark()
 	if mark == nil || mark.Meta.Seq == a.ckpt.lastMarkSeq {
-		return
+		return nil
 	}
 	a.ckpt.lastMarkSeq = mark.Meta.Seq
-	_ = a.node.SendFrame(a.coordAddr, wire.AppendCheckpointMark(
-		a.node.NewFrameHint(wire.TCheckpointMark, 96), mark))
+	return mark
 }
 
 // CheckpointStats returns the durable-writer counters (snapshots made

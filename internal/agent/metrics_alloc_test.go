@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -53,27 +52,10 @@ func TestSuperstepAllocsWithMetricsEnabled(t *testing.T) {
 // Comparing the two variants bounds the instrumentation's hot-path cost —
 // the acceptance criterion is ≤1% and zero extra allocs/op.
 func benchmarkSuperstepMetered(b *testing.B, metered bool) {
-	cfg := allocTestConfig()
-	const n = 4096
-	a := newLoopbackAgent(b, cfg, n)
+	a := newBenchAgent(b)
 	if metered {
 		a.initMetrics(metrics.NewRegistry())
 	}
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < n; i++ {
-		src := graph.VertexID(i)
-		dsts := [4]graph.VertexID{
-			graph.VertexID((i + 1) % n),
-			graph.VertexID(rng.Intn(n)),
-			graph.VertexID(rng.Intn(n)),
-			graph.VertexID(rng.Intn(n)),
-		}
-		for _, dst := range dsts {
-			a.store.AddEdge(src, dst, graph.Out)
-			a.store.AddEdge(src, dst, graph.In)
-		}
-	}
-	installRun(a, algorithm.PageRank{}, n)
 
 	SetComputeParallelism(1, 1)
 	defer SetComputeParallelism(0, 0)

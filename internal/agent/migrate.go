@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"elga/internal/algorithm"
-	"elga/internal/autoscale"
 	"elga/internal/consistent"
 	"elga/internal/graph"
 	"elga/internal/trace"
@@ -223,7 +222,7 @@ func (a *Agent) migrate(epochLow uint32) {
 		a.m.migBytes.Add(shippedBytes)
 		// The directory sees migration cost too: heavy shipments are the
 		// scale-decision backpressure §3.4.3 warns about.
-		a.sendMetric(autoscale.MetricMigrationBytes, float64(shippedBytes))
+		a.samples.add(wire.MetricMigrationBytes, float64(shippedBytes))
 	}
 
 	// Re-route pending mailbox contributions for every vertex this agent
@@ -461,16 +460,16 @@ func (a *Agent) handleBatchOpen() {
 	// Metric collection (§3.4.3): graph change and client query volumes
 	// since the previous batch boundary.
 	_, applied, queries := a.Stats()
-	a.sendMetric(autoscale.MetricChangeRate, float64(applied-a.lastApplied))
-	a.sendMetric(autoscale.MetricQueryRate, float64(queries-a.lastQueries))
+	a.samples.add(wire.MetricChangeRate, float64(applied-a.lastApplied))
+	a.samples.add(wire.MetricQueryRate, float64(queries-a.lastQueries))
 	a.lastApplied, a.lastQueries = applied, queries
 	// The active set right after the flush IS the affected-vertex frontier
 	// of this batch: exactly the locally stored endpoints whose topology
 	// changed, which an incremental run (FromScratch=false) seeds from.
 	frontier := a.store.ActiveCount()
 	a.m.frontierSize.Observe(float64(frontier))
-	a.sendMetric(autoscale.MetricFrontierSize, float64(frontier))
-	a.sendMetric(autoscale.MetricBytesPerEdge, a.store.BytesPerEdge())
+	a.samples.add(wire.MetricFrontierSize, float64(frontier))
+	a.samples.add(wire.MetricBytesPerEdge, a.store.BytesPerEdge())
 	gate := &ackGroup{}
 	if a.skDelta.Count() > 0 {
 		data, err := a.skDelta.MarshalBinary()

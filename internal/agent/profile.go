@@ -14,7 +14,7 @@ import (
 // flush, snapshot collection — runs on a detached goroutine so capture
 // never blocks the loop. Finished captures land in a mutex-guarded done
 // list that the lossy tick cadence drains into bounded TProfileChunk
-// frames, the same delivery class as TMetric.
+// frames, the same delivery class as TReport.
 //
 // Disarmed, the whole plane costs the superstep exactly one predicted
 // branch (the armed flag in maybeProfileStep) and zero allocations.
@@ -209,7 +209,7 @@ func (a *Agent) closeProfileWindow(c *profCapture, stepEnd uint32) {
 	}()
 }
 
-// profileTick rides the lossy metric cadence: ship finished captures as
+// profileTick rides the lossy report cadence: ship finished captures as
 // bounded chunks, and close superstep windows orphaned by a run that
 // ended before the window did.
 func (a *Agent) profileTick() {
@@ -240,7 +240,7 @@ func (a *Agent) profileTick() {
 }
 
 // shipProfileChunks drains finished captures into TProfileChunk frames.
-// Lossy like TMetric: a dropped chunk costs the capture (reassembly
+// Lossy like TReport: a dropped chunk costs the capture (reassembly
 // times out at the coordinator), never correctness.
 func (a *Agent) shipProfileChunks() {
 	a.prof.mu.Lock()
@@ -249,35 +249,19 @@ func (a *Agent) shipProfileChunks() {
 	a.prof.mu.Unlock()
 	for i := range done {
 		res := &done[i]
-		if res.err != "" {
-			ck := wire.ProfileChunk{
-				CaptureID: res.id, AgentID: a.id, Kind: res.kind,
-				Seq: 0, Total: 1,
-				RunID: res.runID, StepStart: res.stepStart, StepEnd: res.stepEnd,
-				Err: res.err,
-			}
-			_ = a.node.SendFrame(a.coordAddr, wire.AppendProfileChunk(
-				a.node.NewFrameHint(wire.TProfileChunk, 96+len(res.err)), &ck))
-			continue
-		}
-		total := uint32((len(res.data) + profChunkSize - 1) / profChunkSize)
-		if total == 0 {
-			total = 1
-		}
+		// A failed capture has no data and ships as one Err chunk.
+		total := max(uint32((len(res.data)+profChunkSize-1)/profChunkSize), 1)
 		for seq := uint32(0); seq < total; seq++ {
 			lo := int(seq) * profChunkSize
-			hi := lo + profChunkSize
-			if hi > len(res.data) {
-				hi = len(res.data)
-			}
+			hi := min(lo+profChunkSize, len(res.data))
 			ck := wire.ProfileChunk{
 				CaptureID: res.id, AgentID: a.id, Kind: res.kind,
 				Seq: seq, Total: total,
 				RunID: res.runID, StepStart: res.stepStart, StepEnd: res.stepEnd,
-				Data: res.data[lo:hi],
+				Data: res.data[lo:hi], Err: res.err,
 			}
 			_ = a.node.SendFrame(a.coordAddr, wire.AppendProfileChunk(
-				a.node.NewFrameHint(wire.TProfileChunk, 96+(hi-lo)), &ck))
+				a.node.NewFrameHint(wire.TProfileChunk, 96+(hi-lo)+len(res.err)), &ck))
 		}
 	}
 }

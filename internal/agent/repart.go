@@ -12,7 +12,7 @@ import (
 // Repartition accounting: when enabled, the agent attributes every
 // scattered message to the vertex that sent it and the agent that
 // received it, and periodically reports its top-K "chatty vertices" to
-// the coordinator's planner as a lossy TVertexDigest. The window map is
+// the coordinator's planner as a lossy report section. The window map is
 // cleared in place after each digest (clear keeps the buckets), so
 // steady-state accounting performs only map updates on warm keys — the
 // superstep's 3 allocs/op ceiling holds with repartitioning on, and with
@@ -77,16 +77,17 @@ func (a *Agent) initComm() {
 	a.comm.best = make(map[graph.VertexID]wire.DigestEntry)
 }
 
-// sendDigest ships the window's top-K chatty vertices to the coordinator
-// and resets the window. Runs on the load-metric cadence (every fourth
-// heartbeat tick), well off the superstep hot path; lossy by design — a
-// dropped digest delays a planning round, nothing else. A digest with no
-// entries is still sent: the header carries the agent's vertex load and
-// marks it as a reporter, which the planner requires from every live
-// agent before it will plan a round.
-func (a *Agent) sendDigest() {
-	if !a.comm.enabled || a.leaving {
-		return
+// digest returns the window's top-K chatty vertices for the next full
+// report and resets the window (nil when accounting is off). Runs on the
+// full-report cadence (every fourth heartbeat tick), well off the
+// superstep hot path; lossy by design — a dropped digest delays a
+// planning round, nothing else. A digest with no entries is still sent:
+// the header carries the agent's vertex load and marks it as a reporter,
+// which the planner requires from every live agent before it will plan a
+// round.
+func (a *Agent) digest() *wire.VertexDigest {
+	if !a.comm.enabled {
+		return nil
 	}
 	self := consistent.AgentID(a.id)
 	// Pass 1: per vertex, find the busiest remote destination.
@@ -124,14 +125,12 @@ func (a *Agent) sendDigest() {
 	if len(ents) > digestTopK {
 		ents = ents[:digestTopK]
 	}
-	d := wire.VertexDigest{
+	return &wire.VertexDigest{
 		AgentID:  a.id,
 		Epoch:    a.router.Epoch(),
 		Vertices: uint64(a.store.NumVertices()),
 		Entries:  ents,
 	}
-	_ = a.node.SendFrame(a.coordAddr, wire.AppendVertexDigest(
-		a.node.NewFrameHint(wire.TVertexDigest, 32+32*len(ents)), &d))
 }
 
 // CommStats returns the cumulative scatter-traffic split (local vs

@@ -48,7 +48,7 @@ func BuildSegments(st *graph.Store, states []wire.VertexState, marks []wire.Mail
 			})
 			return true
 		})
-		segs = append(segs, Segment{Kind: wire.SegSealed, Payload: wire.EncodeEdgeBatch(&sealed)})
+		segs = append(segs, Segment{Kind: wire.SegSealed, Payload: wire.AppendEdgeBatch(nil, &sealed)})
 	}
 	tail := wire.EdgeBatch{Epoch: gen, Migration: true}
 	st.TailCopies(func(c graph.EdgeCopy, deleted bool) bool {
@@ -64,8 +64,8 @@ func BuildSegments(st *graph.Store, states []wire.VertexState, marks []wire.Mail
 	// Pinned zero-edge vertices survive as insert-less states so restore
 	// can re-pin them; they already appear in states when the caller
 	// tracks their values, so only the edge segments are topology.
-	segs = append(segs, Segment{Kind: wire.SegTail, Payload: wire.EncodeEdgeBatch(&tail)})
-	segs = append(segs, Segment{Kind: wire.SegStates, Payload: wire.EncodeEdgeBatch(&wire.EdgeBatch{States: states})})
+	segs = append(segs, Segment{Kind: wire.SegTail, Payload: wire.AppendEdgeBatch(nil, &tail)})
+	segs = append(segs, Segment{Kind: wire.SegStates, Payload: wire.AppendEdgeBatch(nil, &wire.EdgeBatch{States: states})})
 	segs = append(segs, Segment{Kind: wire.SegMailbox, Payload: wire.AppendMailboxWatermarks(nil, marks)})
 	return segs
 }
@@ -143,7 +143,7 @@ func (w *Writer) commit(snap *Snapshot) error {
 		refs = append(refs, ref)
 	}
 	man := wire.Manifest{Meta: snap.Meta, Segments: refs}
-	if err := w.sink.WriteManifest(w.key, wire.EncodeManifest(&man)); err != nil {
+	if err := w.sink.WriteManifest(w.key, wire.AppendManifest(nil, &man)); err != nil {
 		return err
 	}
 	w.count.Add(1)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"elga/internal/graph"
@@ -141,6 +142,44 @@ func compareStores(t *testing.T, seed int64, a, b *graph.Store) {
 // randomized insert/delete/compact sequences, snapshots it, restores into
 // a fresh store, and asserts observational equivalence — across sealed
 // generations, delete-logged sealed entries, and tail-only topology.
+// TestDirSinkConcurrentSameSegment: participants sharing a sink write
+// the same content-addressed segment at once. Every write succeeds, the
+// segment reads back, and no temp file is left behind.
+func TestDirSinkConcurrentSameSegment(t *testing.T) {
+	sink, err := NewDirSink(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("shared sealed topology")
+	name := SegmentName(wire.SegSealed, payload)
+	const writers = 16
+	errs := make([]error, writers)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start.Wait()
+			errs[i] = sink.WriteSegment(name, wire.SegSealed, payload)
+		}(i)
+	}
+	start.Done()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("writer %d: %v", i, err)
+		}
+	}
+	kind, got, err := sink.ReadSegment(name)
+	if err != nil || kind != wire.SegSealed || string(got) != string(payload) {
+		t.Fatalf("segment read back wrong: kind=%d payload=%q err=%v", kind, got, err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(sink.Dir(), "segments", "*.tmp")); len(tmps) > 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+}
+
 func TestCheckpointRestoreEquivalenceProperty(t *testing.T) {
 	const (
 		seeds    = 15

@@ -116,18 +116,34 @@ func (s *DirSink) HasSegment(name string) bool {
 }
 
 // WriteSegment makes one framed segment durable (temp + rename so a
-// concurrent reader never sees a partial segment).
+// concurrent reader never sees a partial segment). Participants sharing
+// a sink may write the same content-addressed segment at the same
+// moment, so each write gets its own temp name, and a target that
+// already exists — same name, same content — counts as written.
 func (s *DirSink) WriteSegment(name string, kind uint8, payload []byte) error {
 	path := s.segPath(name)
-	if _, err := os.Stat(path); err == nil {
+	if s.HasSegment(name) {
 		return nil
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, FrameSegment(kind, payload), 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	_, err = f.Write(FrameSegment(kind, payload))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(f.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		if s.HasSegment(name) {
+			return nil
+		}
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil

@@ -20,7 +20,7 @@ type dirCkpt struct {
 	writer *checkpoint.Writer
 	seq    uint64
 	// marks is the consistent-cut table: the latest durable snapshot
-	// each participant key reported (via TCheckpointMark or a
+	// each participant key reported (via a report's mark or a
 	// restore-carrying join). It rides the coordinator's own snapshot so
 	// a restarted directory knows what its agents can recover to.
 	marks map[string]wire.CheckpointMark
@@ -133,7 +133,7 @@ func (d *Directory) checkpointCoord() {
 	// move batchID/N without republishing, and the snapshot must carry
 	// the current values.
 	cs := wire.CoordState{
-		View:        wire.EncodeView(d.view()),
+		View:        wire.AppendView(nil, d.view()),
 		NextAgentID: d.nextAgentID,
 		NextRunID:   d.nextRunID,
 		Marks:       marks,
@@ -157,7 +157,7 @@ func (d *Directory) checkpointCoord() {
 	snap := &checkpoint.Snapshot{
 		Meta: meta,
 		Segments: []checkpoint.Segment{
-			{Kind: wire.SegCoord, Payload: wire.EncodeCoordState(&cs)},
+			{Kind: wire.SegCoord, Payload: wire.AppendCoordState(nil, &cs)},
 		},
 	}
 	if w.TrySubmit(snap) {

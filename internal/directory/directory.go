@@ -33,7 +33,7 @@ type Options struct {
 	// Addr is the listen address ("" auto-allocates).
 	Addr string
 	// MetricHandler, if set, receives autoscaler metric samples on the
-	// directory's event loop (coordinator only).
+	// directory's event loop (coordinator only), from reports and votes.
 	MetricHandler func(*wire.Metric)
 	// SpanSink, if set, receives shipped trace-span batches on the
 	// directory's event loop (coordinator only) — the collector hookup.
@@ -98,7 +98,7 @@ type Directory struct {
 	nextAgentID uint64
 	nextRunID   uint32
 	agents      map[uint64]string
-	// leases maps each agent to its last heartbeat (or join) time; an
+	// leases maps each agent to its last lease report (or join) time; an
 	// agent silent past Config.LeaseExpiry is evicted.
 	leases map[uint64]time.Time
 	sk     *sketch.Sketch
@@ -132,7 +132,7 @@ type Directory struct {
 	// Atomic mirrors of event-loop state, read by StatsMap and metric
 	// scrapes off the event loop: statEvictions counts failure-detector
 	// evictions, statAgents/statEpoch follow the published view, and
-	// statMetricSamples counts TMetric packets folded into the handler.
+	// statMetricSamples counts metric samples folded into the handler.
 	statEvictions     atomic.Uint64
 	statAgents        atomic.Int64
 	statEpoch         atomic.Uint64
@@ -140,7 +140,7 @@ type Directory struct {
 	// stepHist is the optional cluster-level superstep duration histogram
 	// (nil without a registry).
 	stepHist *metrics.Histogram
-	// statSpanBatches counts TSpanBatch packets folded into the span sink.
+	// statSpanBatches counts report span sections folded into the sink.
 	statSpanBatches atomic.Uint64
 	// Repartition instrumentation: executed moves, completed plan rounds,
 	// live override count, and plan latency.
@@ -162,7 +162,7 @@ type Directory struct {
 	timeline  *events.Timeline
 	health    *healthModel
 	evDropped map[string]uint64
-	// statEventBatches counts TEventBatch packets merged into the
+	// statEventBatches counts report event sections merged into the
 	// timeline; statHealthEvals counts health evaluations; healthCounts
 	// mirrors the latest per-status agent tally for metric gauges.
 	statEventBatches atomic.Uint64
@@ -300,7 +300,7 @@ func Start(opts Options) (*Directory, error) {
 			node.Close()
 			return nil, err
 		}
-		d.lastView = wire.EncodeView(d.view())
+		d.lastView = wire.AppendView(nil, d.view())
 		d.scheduleLeaseSweep()
 	} else {
 		// Relays subscribe to every coordinator broadcast and fan it
@@ -328,13 +328,13 @@ func (d *Directory) initMetrics(reg *metrics.Registry) {
 	lbl := metrics.Labels{"addr": d.node.Addr()}
 	reg.CounterFunc("elga_dir_evictions_total", "Agents evicted by the failure detector.", lbl,
 		d.statEvictions.Load)
-	reg.CounterFunc("elga_dir_metric_samples_total", "TMetric samples folded into the metric handler.", lbl,
+	reg.CounterFunc("elga_dir_metric_samples_total", "Metric samples folded into the metric handler.", lbl,
 		d.statMetricSamples.Load)
 	reg.GaugeFunc("elga_dir_agents", "Agents in the published view.", lbl,
 		func() float64 { return float64(d.statAgents.Load()) })
 	reg.GaugeFunc("elga_dir_epoch", "Current view epoch.", lbl,
 		func() float64 { return float64(d.statEpoch.Load()) })
-	reg.CounterFunc("elga_dir_span_batches_total", "TSpanBatch packets folded into the span sink.", lbl,
+	reg.CounterFunc("elga_dir_span_batches_total", "Report span sections folded into the span sink.", lbl,
 		d.statSpanBatches.Load)
 	reg.CounterFunc("elga_trace_dropped_spans_total", "Sampled trace spans dropped before shipping (backpressure).", lbl,
 		func() uint64 { return d.tracer.Dropped() })
@@ -364,7 +364,7 @@ func (d *Directory) initMetrics(reg *metrics.Registry) {
 		}
 		reg.CounterFunc("elga_health_evaluations_total", "Health-model evaluation passes.", lbl,
 			d.statHealthEvals.Load)
-		reg.CounterFunc("elga_health_event_batches_total", "TEventBatch packets merged into the timeline.", lbl,
+		reg.CounterFunc("elga_health_event_batches_total", "Report event sections merged into the timeline.", lbl,
 			d.statEventBatches.Load)
 		reg.CounterFunc("elga_health_events_total", "Events ever merged into the cluster timeline.", lbl,
 			func() uint64 { return d.timeline.Seq() })
@@ -611,17 +611,22 @@ func (d *Directory) runLoop() {
 	d.closeCheckpoint()
 }
 
+// subscribe adds the sender to the broadcast set and sends it the last
+// view. Acked: this catch-up is the subscriber's only copy of any view
+// published before its subscription landed — losing it can wedge a
+// migration barrier waiting on that subscriber.
+func (d *Directory) subscribe(pkt *wire.Packet) {
+	d.pub.Subscribe(pkt.From, wire.DecodeSubscribeTypes(pkt.Payload)...)
+	if d.lastView != nil {
+		_ = d.node.SendAcked(pkt.From, wire.TDirUpdate, d.lastView)
+	}
+	d.node.Ack(pkt)
+}
+
 func (d *Directory) handleRelay(pkt *wire.Packet) {
 	switch pkt.Type {
 	case wire.TSubscribe:
-		d.pub.Subscribe(pkt.From, wire.DecodeSubscribeTypes(pkt.Payload)...)
-		if d.lastView != nil {
-			// Acked: this catch-up is the subscriber's only copy of any
-			// view published before its subscription landed — losing it
-			// can wedge a migration barrier waiting on that subscriber.
-			_ = d.node.SendAcked(pkt.From, wire.TDirUpdate, d.lastView)
-		}
-		d.node.Ack(pkt)
+		d.subscribe(pkt)
 	case wire.TUnsubscribe:
 		d.pub.Unsubscribe(pkt.From)
 	case wire.TDirUpdate:
@@ -658,13 +663,7 @@ func (d *Directory) handleRelay(pkt *wire.Packet) {
 func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 	switch pkt.Type {
 	case wire.TSubscribe:
-		d.pub.Subscribe(pkt.From, wire.DecodeSubscribeTypes(pkt.Payload)...)
-		if d.lastView != nil {
-			// Acked: see the relay subscribe path — a lost catch-up view
-			// can wedge a migration barrier on the late subscriber.
-			_ = d.node.SendAcked(pkt.From, wire.TDirUpdate, d.lastView)
-		}
-		d.node.Ack(pkt)
+		d.subscribe(pkt)
 	case wire.TUnsubscribe:
 		d.pub.Unsubscribe(pkt.From)
 	case wire.TJoin:
@@ -679,8 +678,10 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 		d.pendingLeaves = append(d.pendingLeaves, pkt)
 		d.advanceWork()
 		return true
-	case wire.THeartbeat:
-		d.handleHeartbeat(pkt)
+	case wire.TReport:
+		if rep, err := wire.DecodeReport(pkt.Payload); err == nil {
+			d.handleReport(rep, pkt.From)
+		}
 	case wire.TSketchDelta:
 		var delta sketch.Sketch
 		if err := delta.UnmarshalBinary(pkt.Payload); err == nil {
@@ -696,6 +697,8 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 			d.node.Ack(pkt) // malformed: ack to stop the retransmission
 			return false
 		}
+		// Samples first: a stale-step vote's samples still count.
+		d.observeSamples(m.AgentID, m.Samples)
 		d.handleReady(m)
 		d.node.Ack(pkt)
 	case wire.TRunAlgo:
@@ -706,57 +709,12 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 		d.pendingSeals = append(d.pendingSeals, pkt)
 		d.advanceWork()
 		return true
-	case wire.TMetric:
-		if d.opts.MetricHandler != nil || d.health != nil {
-			if m, err := wire.DecodeMetric(pkt.Payload); err == nil {
-				d.statMetricSamples.Add(1)
-				if d.health != nil {
-					d.health.observeMetric(time.Now(), m)
-				}
-				if d.opts.MetricHandler != nil {
-					d.opts.MetricHandler(m)
-				}
-			}
-		}
-	case wire.TSpanBatch:
-		if d.opts.SpanSink != nil || d.health != nil {
-			if sb, err := wire.DecodeSpanBatch(pkt.Payload); err == nil {
-				d.statSpanBatches.Add(1)
-				if d.health != nil {
-					d.health.observeSpans(time.Now(), sb.Proc, sb.Spans)
-				}
-				if d.opts.SpanSink != nil {
-					d.opts.SpanSink(sb.Proc, sb.Spans)
-				}
-			}
-		}
-	case wire.TEventBatch:
-		if d.timeline != nil {
-			if evs, dropped, err := wire.DecodeEventBatch(pkt.Payload); err == nil {
-				d.statEventBatches.Add(1)
-				if len(evs) > 0 {
-					d.evDropped[evs[0].Proc] = dropped
-				}
-				d.mergeEvents(evs)
-			}
-		}
 	case wire.TStatus:
 		d.replyStatus(pkt)
 	case wire.TProfile:
 		d.handleProfileRequest(pkt)
 	case wire.TProfileChunk:
 		d.handleProfileChunk(pkt)
-	case wire.TCheckpointMark:
-		if m, err := wire.DecodeCheckpointMark(pkt.Payload); err == nil {
-			d.recordMark(m)
-		}
-	case wire.TVertexDigest:
-		if d.planner != nil {
-			if dg, err := wire.DecodeVertexDigest(pkt.Payload); err == nil {
-				d.planner.Observe(dg)
-				d.maybeRepartitionIdle()
-			}
-		}
 	case wire.TDirectoryList:
 		// Peer directories fan out on their own; nothing to track here.
 	case wire.TTick:
@@ -882,9 +840,7 @@ func (d *Directory) applyMembership() {
 		for id := range leavers {
 			gone = append(gone, id)
 		}
-		pruned := d.pruneOverrides(gone)
-		d.event(events.Info, events.KindOverrideRebase, trace.SpanContext{},
-			events.U("pruned", uint64(pruned)), events.U("overrides", uint64(len(d.overrides))))
+		d.pruneOverrides(gone)
 	}
 	d.openMigration(causeMembership, leavers)
 	d.maybeFinishMigration()
@@ -1086,23 +1042,53 @@ func (d *Directory) scheduleLeaseSweep() {
 	})
 }
 
-// handleHeartbeat renews the sender's lease. A heartbeat from an unknown
-// agent means the sender was already evicted but is still alive (a false
-// suspicion); pushing it the latest view makes it observe its own absence
-// and migrate its data back to the members through the ordinary leave
-// path.
-func (d *Directory) handleHeartbeat(pkt *wire.Packet) {
-	h, err := wire.DecodeHeartbeat(pkt.Payload)
-	if err != nil {
-		return
+// handleReport folds one TReport. A lease from an unknown agent means
+// the sender was evicted but is still alive (a false suspicion): pushing
+// it the latest view makes it observe its own absence and migrate its
+// data back through the ordinary leave path. Lease-less reports (clients,
+// leaving agents) never draw that push.
+func (d *Directory) handleReport(rep *wire.Report, from string) {
+	if rep.Lease {
+		if _, ok := d.agents[rep.AgentID]; ok {
+			d.leases[rep.AgentID] = time.Now()
+		} else if d.lastView != nil && from != "" {
+			// Acked: an evicted zombie only learns it is gone from this push.
+			_ = d.node.SendAcked(from, wire.TDirUpdate, d.lastView)
+		}
 	}
-	if _, ok := d.agents[h.AgentID]; ok {
-		d.leases[h.AgentID] = time.Now()
-		return
+	d.observeSamples(rep.AgentID, rep.Samples)
+	if sb := rep.Spans; sb != nil {
+		d.statSpanBatches.Add(1)
+		d.health.observeSpans(time.Now(), sb.Proc, sb.Spans)
+		if d.opts.SpanSink != nil {
+			d.opts.SpanSink(sb.Proc, sb.Spans)
+		}
 	}
-	if d.lastView != nil && pkt.From != "" {
-		// Acked: an evicted zombie only learns it is gone from this push.
-		_ = d.node.SendAcked(pkt.From, wire.TDirUpdate, d.lastView)
+	if len(rep.Events) > 0 && d.timeline != nil {
+		d.statEventBatches.Add(1)
+		d.evDropped[rep.Events[0].Proc] = rep.Dropped
+		d.mergeEvents(rep.Events)
+	}
+	if rep.Mark != nil {
+		d.recordMark(rep.Mark)
+	}
+	if rep.Digest != nil && d.planner != nil {
+		d.planner.Observe(rep.Digest)
+		d.maybeRepartitionIdle()
+	}
+}
+
+// observeSamples feeds one agent's samples, from a report or a vote, to
+// the health model and the metric handler.
+func (d *Directory) observeSamples(agentID uint64, samples []wire.Sample) {
+	now := time.Now()
+	for _, s := range samples {
+		m := &wire.Metric{AgentID: agentID, Name: s.ID.String(), Value: s.Value}
+		d.statMetricSamples.Add(1)
+		d.health.observeMetric(now, m)
+		if d.opts.MetricHandler != nil {
+			d.opts.MetricHandler(m)
+		}
 	}
 }
 
@@ -1152,9 +1138,7 @@ func (d *Directory) evictAgents(dead []uint64) {
 	}
 	// Rebase placement overrides onto the survivors before the view goes
 	// out: overrides that named a corpse revert to ring placement.
-	pruned := d.pruneOverrides(dead)
-	d.event(events.Info, events.KindOverrideRebase, trace.SpanContext{},
-		events.U("pruned", uint64(pruned)), events.U("overrides", uint64(len(d.overrides))))
+	d.pruneOverrides(dead)
 	// Supersede any in-flight migration: survivors re-migrate under the
 	// new epoch and re-vote; only live agents are expected.
 	d.openMigration(causeMembership, nil)

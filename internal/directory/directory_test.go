@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"elga/internal/autoscale"
 	"elga/internal/config"
+	"elga/internal/events"
 	"elga/internal/sketch"
 	"elga/internal/transport"
 	"elga/internal/wire"
@@ -107,7 +109,7 @@ func joinFake(t *testing.T, nw transport.Network, coord string) *fakeAgent {
 		t.Fatal(err)
 	}
 	reply, err := node.Request(coord, wire.TJoin,
-		wire.EncodeJoin(&wire.Join{Addr: node.Addr()}), 5*time.Second)
+		wire.AppendJoin(nil, &wire.Join{Addr: node.Addr()}), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +125,14 @@ func joinFake(t *testing.T, nw transport.Network, coord string) *fakeAgent {
 			case wire.TDirUpdate:
 				v, err := wire.DecodeView(pkt.Payload)
 				if err == nil {
-					_ = node.Send(coord, wire.TReady, wire.EncodeReady(&wire.Ready{
+					_ = node.Send(coord, wire.TReady, wire.AppendReady(nil, &wire.Ready{
 						AgentID: f.id, Step: uint32(v.Epoch), Phase: wire.PhaseMigrate,
 					}))
 				}
 			case wire.TBatchOpen:
 				r := wire.NewReader(pkt.Payload)
 				batchID := r.U64()
-				_ = node.Send(coord, wire.TReady, wire.EncodeReady(&wire.Ready{
+				_ = node.Send(coord, wire.TReady, wire.AppendReady(nil, &wire.Ready{
 					AgentID: f.id, Step: uint32(batchID), Phase: wire.PhaseBatch, Masters: 10,
 				}))
 			case wire.TSketchDelta, wire.TEdges:
@@ -316,10 +318,12 @@ func TestMetricHandlerInvoked(t *testing.T) {
 	defer d.Close()
 	node, _ := transport.NewNode(nw, "", 0)
 	defer node.Close()
-	_ = node.Send(d.Addr(), wire.TMetric, wire.EncodeMetric(&wire.Metric{AgentID: 1, Name: "qps", Value: 7}))
+	_ = node.Send(d.Addr(), wire.TReport, wire.AppendReport(nil, &wire.Report{
+		AgentID: 1, Samples: []wire.Sample{{ID: wire.MetricQueryRate, Value: 7}},
+	}))
 	select {
 	case mt := <-got:
-		if mt.Name != "qps" || mt.Value != 7 {
+		if mt.AgentID != 1 || mt.Name != autoscale.MetricQueryRate || mt.Value != 7 {
 			t.Fatalf("metric %+v", mt)
 		}
 	case <-time.After(5 * time.Second):
@@ -327,7 +331,7 @@ func TestMetricHandlerInvoked(t *testing.T) {
 	}
 }
 
-// TestMetricHandlerConcurrentBursts hammers the coordinator with TMetric
+// TestMetricHandlerConcurrentBursts hammers the coordinator with TReport
 // frames from many concurrent senders. The handler runs on the directory
 // event loop, so it may use unsynchronized state (the plain map below);
 // under -race this test proves the serialization, and the final tally
@@ -368,8 +372,8 @@ func TestMetricHandlerConcurrentBursts(t *testing.T) {
 		defer node.Close()
 		go func(id uint64) {
 			for i := 0; i < perSender; i++ {
-				_ = node.Send(d.Addr(), wire.TMetric, wire.EncodeMetric(&wire.Metric{
-					AgentID: id, Name: "qps", Value: 1,
+				_ = node.Send(d.Addr(), wire.TReport, wire.AppendReport(nil, &wire.Report{
+					AgentID: id, Samples: []wire.Sample{{ID: wire.MetricQueryRate, Value: 1}},
 				}))
 			}
 		}(uint64(s + 1))
@@ -390,6 +394,58 @@ func TestMetricHandlerConcurrentBursts(t *testing.T) {
 	}
 	if sum != float64(senders*perSender) {
 		t.Errorf("sum = %v, want %d", sum, senders*perSender)
+	}
+}
+
+// TestLeaseReportFromUnknownAgentGetsView: a lease from an agent the
+// coordinator does not know (an evicted zombie) draws the latest view so
+// the zombie can observe its own absence. Lease-less reports — a leaving
+// agent's or a client's — never do.
+func TestLeaseReportFromUnknownAgentGetsView(t *testing.T) {
+	nw := transport.NewInproc()
+	m := startMaster(t, nw)
+	d := startDir(t, nw, m.Addr())
+	newNode := func() *transport.Node {
+		n, err := transport.NewNode(nw, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Close)
+		return n
+	}
+	// viewBeforePong sends rep, then a ping; the coordinator answers both
+	// in order on one per-peer writer, so a view push it made for rep is
+	// in the inbox by the time the pong returns.
+	viewBeforePong := func(n *transport.Node, rep *wire.Report) bool {
+		if err := n.Send(d.Addr(), wire.TReport, wire.AppendReport(nil, rep)); err != nil {
+			t.Fatal(err)
+		}
+		pong, err := n.Request(d.Addr(), wire.TPing, nil, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.ReleasePacket(pong)
+		for {
+			select {
+			case pkt := <-n.Inbox():
+				if pkt.Type == wire.TDirUpdate {
+					return true
+				}
+			default:
+				return false
+			}
+		}
+	}
+	if !viewBeforePong(newNode(), &wire.Report{AgentID: 42, Lease: true}) {
+		t.Fatal("lease report from an unknown agent got no view push")
+	}
+	leaving := &wire.Report{AgentID: 43, Samples: []wire.Sample{{ID: wire.MetricMigrationBytes, Value: 1}}}
+	if viewBeforePong(newNode(), leaving) {
+		t.Fatal("lease-less agent report drew a view push")
+	}
+	client := &wire.Report{Events: []events.Record{{Seq: 1, Kind: events.KindOpError, Proc: "client"}}}
+	if viewBeforePong(newNode(), client) {
+		t.Fatal("client report drew a view push")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // Coordinator side of adaptive repartitioning (see internal/repartition):
-// agent TVertexDigest reports feed the planner; when every live agent has
+// agents' report digests feed the planner; when every live agent has
 // reported and the cluster sits at a safe point (a superstep boundary or
 // full idle), the coordinator turns the plan into placement overrides,
 // bumps the epoch, and runs an ordinary migration round so agents re-own
@@ -90,20 +90,17 @@ func (d *Directory) splitVertex(v graph.VertexID) bool {
 }
 
 // pruneOverrides drops overrides whose target is no longer a member and
-// tells the planner to forget departed agents, returning how many
-// entries were pruned. Callers bump the epoch and broadcast right after,
+// tells the planner to forget departed agents, journalling the rebase.
+// Callers bump the epoch and broadcast right after,
 // so the pruned table reaches agents atomically with the membership
 // change; pruned vertices fall back to their ring placement on the
 // survivors (the router also ignores dangling targets, so even an
 // un-pruned straggler view cannot route at a corpse).
-func (d *Directory) pruneOverrides(gone []uint64) int {
+func (d *Directory) pruneOverrides(gone []uint64) {
 	if d.planner != nil {
 		for _, id := range gone {
 			d.planner.Forget(consistent.AgentID(id))
 		}
-	}
-	if len(d.overrides) == 0 {
-		return 0
 	}
 	pruned := 0
 	for v, aid := range d.overrides {
@@ -113,7 +110,8 @@ func (d *Directory) pruneOverrides(gone []uint64) int {
 		}
 	}
 	d.statOverrides.Store(int64(len(d.overrides)))
-	return pruned
+	d.event(events.Info, events.KindOverrideRebase, trace.SpanContext{},
+		events.U("pruned", uint64(pruned)), events.U("overrides", uint64(len(d.overrides))))
 }
 
 // RepartitionStats exposes the planner counters for tests and tooling:

@@ -12,7 +12,7 @@
 // The plane follows the repo's off-switch discipline: disabled, every
 // hot-path touch point costs one predicted branch and zero allocations
 // (the superstep alloc ceiling depends on it), and capture work runs off
-// the event loop — chunks ride the lossy metric cadence.
+// the event loop — chunks ride the lossy report cadence.
 package profile
 
 import (

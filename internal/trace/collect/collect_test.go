@@ -49,7 +49,7 @@ func TestCollectorLateBatchAfterCompletionStaysBounded(t *testing.T) {
 	c.Add("coordinator", []trace.SpanRecord{span(7, 7, 1, 0, 3, 0, "run", 100)})
 	c.MarkComplete(7, 7)
 
-	// A straggler agent flushes after the run completed (its metric tick
+	// A straggler agent flushes after the run completed (its report tick
 	// fired late). The spans must still be accepted into the same bounded
 	// trace — no per-run assembler state may have leaked away or grown.
 	c.Add("agent-1", []trace.SpanRecord{span(7, 7, 2, 1, 3, 0, "compute", 150)})

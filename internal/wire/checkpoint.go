@@ -17,8 +17,8 @@ import (
 //     sealed-CSR segment by content between compactions).
 //   - Manifest lists the content-addressed segments of one snapshot with
 //     their per-segment CRCs; it is the durable root object.
-//   - CheckpointMark is the lossy agent→coordinator report of the latest
-//     durable snapshot, feeding the coordinator's consistent-cut table.
+//   - CheckpointMark is the TReport section naming the latest durable
+//     snapshot, feeding the coordinator's consistent-cut table.
 //
 // The same codecs frame the on-disk segment files and manifests, so disk
 // and network never disagree about the format.
@@ -149,9 +149,6 @@ func AppendManifest(dst []byte, m *Manifest) []byte {
 	return w.buf
 }
 
-// EncodeManifest serializes a manifest.
-func EncodeManifest(m *Manifest) []byte { return AppendManifest(nil, m) }
-
 // DecodeManifest parses a manifest.
 func DecodeManifest(data []byte) (*Manifest, error) {
 	r := NewReader(data)
@@ -174,7 +171,7 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// CheckpointMark is the payload of TCheckpointMark.
+// CheckpointMark is a TReport section and a CoordState cut-table entry.
 type CheckpointMark struct {
 	Meta CheckpointMeta
 	// Bytes is the total payload bytes the snapshot wrote (deduplicated
@@ -189,9 +186,6 @@ func AppendCheckpointMark(dst []byte, m *CheckpointMark) []byte {
 	w.U64(m.Bytes)
 	return w.buf
 }
-
-// EncodeCheckpointMark serializes a mark.
-func EncodeCheckpointMark(m *CheckpointMark) []byte { return AppendCheckpointMark(nil, m) }
 
 // DecodeCheckpointMark parses a mark.
 func DecodeCheckpointMark(data []byte) (*CheckpointMark, error) {
@@ -246,9 +240,6 @@ func AppendCoordState(dst []byte, c *CoordState) []byte {
 	}
 	return w.buf
 }
-
-// EncodeCoordState serializes a coordinator snapshot payload.
-func EncodeCoordState(c *CoordState) []byte { return AppendCoordState(nil, c) }
 
 // DecodeCoordState parses a SegCoord payload.
 func DecodeCoordState(data []byte) (*CoordState, error) {

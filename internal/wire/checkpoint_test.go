@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"elga/internal/events"
@@ -31,7 +32,7 @@ func TestManifestRoundTrip(t *testing.T) {
 			{Kind: SegStates, Name: "03-ffee", Length: 77, CRC: 1},
 		},
 	}
-	got, err := DecodeManifest(EncodeManifest(m))
+	got, err := DecodeManifest(AppendManifest(nil, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestManifestRoundTrip(t *testing.T) {
 }
 
 func TestManifestRejectsTruncation(t *testing.T) {
-	full := EncodeManifest(&Manifest{
+	full := AppendManifest(nil, &Manifest{
 		Meta:     testMeta(),
 		Segments: []SegmentRef{{Kind: SegSealed, Name: "01-ab", Length: 3, CRC: 4}},
 	})
@@ -62,14 +63,14 @@ func TestManifestRejectsTruncation(t *testing.T) {
 
 func TestCheckpointMarkRoundTrip(t *testing.T) {
 	m := &CheckpointMark{Meta: testMeta(), Bytes: 9999}
-	got, err := DecodeCheckpointMark(EncodeCheckpointMark(m))
+	got, err := DecodeCheckpointMark(AppendCheckpointMark(nil, m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Meta != m.Meta || got.Bytes != m.Bytes {
 		t.Fatalf("mark mismatch: got %+v, want %+v", got, m)
 	}
-	full := EncodeCheckpointMark(m)
+	full := AppendCheckpointMark(nil, m)
 	for n := 0; n < len(full); n++ {
 		if _, err := DecodeCheckpointMark(full[:n]); err == nil {
 			t.Fatalf("truncated mark at %d accepted", n)
@@ -102,7 +103,7 @@ func TestMailboxWatermarksRoundTrip(t *testing.T) {
 
 func TestCoordStateRoundTrip(t *testing.T) {
 	cs := &CoordState{
-		View:        EncodeView(&View{Epoch: 8, BatchID: 2, N: 60, Agents: []AgentInfo{{1, "a"}, {2, "b"}}}),
+		View:        AppendView(nil, &View{Epoch: 8, BatchID: 2, N: 60, Agents: []AgentInfo{{1, "a"}, {2, "b"}}}),
 		NextAgentID: 17,
 		NextRunID:   5,
 		Marks: []CheckpointMark{
@@ -114,7 +115,7 @@ func TestCoordStateRoundTrip(t *testing.T) {
 			{Seq: 42, Time: 100, Kind: events.KindMigrationStart, Proc: "coord"},
 		},
 	}
-	got, err := DecodeCoordState(EncodeCoordState(cs))
+	got, err := DecodeCoordState(AppendCoordState(nil, cs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +135,8 @@ func TestCoordStateRoundTrip(t *testing.T) {
 	}
 	// Truncation is rejected everywhere except the one boundary that IS a
 	// complete pre-events encoding (see TestCoordStateBackCompat).
-	full := EncodeCoordState(cs)
-	legacy := len(EncodeCoordState(&CoordState{
+	full := AppendCoordState(nil, cs)
+	legacy := len(AppendCoordState(nil, &CoordState{
 		View: cs.View, NextAgentID: cs.NextAgentID, NextRunID: cs.NextRunID, Marks: cs.Marks,
 	})) - 12 // minus the empty EventSeq (u64) + count (u32) tail
 	for n := 0; n < len(full); n++ {
@@ -154,12 +155,12 @@ func TestCoordStateRoundTrip(t *testing.T) {
 // coordinator state from older deployments stays restorable.
 func TestCoordStateBackCompat(t *testing.T) {
 	cs := &CoordState{
-		View:        EncodeView(&View{Epoch: 3, N: 60, Agents: []AgentInfo{{1, "a"}}}),
+		View:        AppendView(nil, &View{Epoch: 3, N: 60, Agents: []AgentInfo{{1, "a"}}}),
 		NextAgentID: 9,
 		NextRunID:   2,
 		Marks:       []CheckpointMark{{Meta: testMeta(), Bytes: 7}},
 	}
-	full := EncodeCoordState(cs)
+	full := AppendCoordState(nil, cs)
 	legacy := full[:len(full)-12] // strip the empty timeline tail: pre-events layout
 	got, err := DecodeCoordState(legacy)
 	if err != nil {
@@ -170,6 +171,39 @@ func TestCoordStateBackCompat(t *testing.T) {
 	}
 	if got.EventSeq != 0 || got.Events != nil {
 		t.Fatalf("legacy snapshot grew a timeline: seq=%d events=%+v", got.EventSeq, got.Events)
+	}
+}
+
+// TestCoordStateParentSnapshotDecodes decodes a coordinator snapshot
+// written before the report frame replaced the per-plane frames (view,
+// counters, one mark, one event) and re-encodes it byte-identically:
+// CoordState is the only format that persists, so its bytes must not move.
+func TestCoordStateParentSnapshotDecodes(t *testing.T) {
+	const golden = "38000000040000000000000003000000000000003c0000000000000002000000010000000000000002006131" +
+		"030000000000000002006133000000000300000000000000020000000100000007006167656e742d30010000" +
+		"0000000000070000000000000004000000000000000300000000000000000000000000000002000000090000" +
+		"0000000000000000000000000000000000001000000000000005000000000000000100000005000000000000" +
+		"0000f153650000000001050065766963740b00636f6f7264696e61746f720000000000000000000000000000" +
+		"000000000000000000000105006167656e74000200000000000000"
+	data, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := DecodeCoordState(data)
+	if err != nil {
+		t.Fatalf("parent snapshot rejected: %v", err)
+	}
+	v, err := DecodeView(cs.View)
+	if err != nil || v.Epoch != 4 || v.BatchID != 3 || len(v.Agents) != 2 {
+		t.Fatalf("view: %v %+v", err, v)
+	}
+	if cs.NextAgentID != 3 || cs.NextRunID != 2 || len(cs.Marks) != 1 || cs.Marks[0].Bytes != 4096 ||
+		cs.Marks[0].Meta.Key != "agent-0" || cs.EventSeq != 5 || len(cs.Events) != 1 ||
+		cs.Events[0].Kind != events.KindEvict || cs.Events[0].Fields[0].U64 != 2 {
+		t.Fatalf("fields mangled: %+v", cs)
+	}
+	if !bytes.Equal(AppendCoordState(nil, cs), data) {
+		t.Fatal("re-encoded snapshot differs from the parent's bytes")
 	}
 }
 

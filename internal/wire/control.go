@@ -49,9 +49,6 @@ func AppendStringList(dst []byte, items []string) []byte {
 	return w.buf
 }
 
-// EncodeStringList serializes a list of strings (directory lists).
-func EncodeStringList(items []string) []byte { return AppendStringList(nil, items) }
-
 // DecodeStringList parses a string list.
 func DecodeStringList(data []byte) ([]string, error) {
 	r := NewReader(data)
@@ -103,9 +100,6 @@ func AppendRunStats(dst []byte, s *RunStats) []byte {
 	}
 	return w.buf
 }
-
-// EncodeRunStats serializes run statistics.
-func EncodeRunStats(s *RunStats) []byte { return AppendRunStats(nil, s) }
 
 // DecodeRunStats parses run statistics.
 func DecodeRunStats(data []byte) (*RunStats, error) {

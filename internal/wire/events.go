@@ -6,9 +6,9 @@ import (
 	"elga/internal/events"
 )
 
-// Event and status frames. TEventBatch ships a participant's journalled
-// control-plane events to the coordinator with the same lossy discipline
-// (and the same ctxFlag-compatible framing) as TSpanBatch. TStatus /
+// Event and status frames. An event batch is the TReport section that
+// ships a participant's journalled control-plane events to the
+// coordinator, lossy like the span section beside it. TStatus /
 // TStatusReply are the client-boundary introspection op: the per-agent
 // health rollup plus the recent slice of the merged cluster timeline.
 
@@ -66,7 +66,7 @@ func readEventRecord(r *Reader) events.Record {
 	return e
 }
 
-// AppendEventBatch appends a TEventBatch payload to dst. Each record
+// AppendEventBatch appends an event-batch section to dst. Each record
 // already carries its participant name (stamped by the journal), so the
 // coordinator can merge batches from every process into one timeline.
 // dropped is the sender's cumulative journal drop counter, letting the
@@ -81,12 +81,7 @@ func AppendEventBatch(dst []byte, evs []events.Record, dropped uint64) []byte {
 	return w.buf
 }
 
-// EncodeEventBatch serializes a TEventBatch payload.
-func EncodeEventBatch(evs []events.Record, dropped uint64) []byte {
-	return AppendEventBatch(nil, evs, dropped)
-}
-
-// DecodeEventBatch parses a TEventBatch payload. Records are
+// DecodeEventBatch parses an event-batch section. Records are
 // materialized copies; they outlive the frame.
 func DecodeEventBatch(data []byte) (evs []events.Record, dropped uint64, err error) {
 	r := NewReader(data)
@@ -234,9 +229,6 @@ func AppendStatusReply(dst []byte, s *StatusReply) []byte {
 	}
 	return w.buf
 }
-
-// EncodeStatusReply serializes a TStatusReply payload.
-func EncodeStatusReply(s *StatusReply) []byte { return AppendStatusReply(nil, s) }
 
 // DecodeStatusReply parses a TStatusReply payload.
 func DecodeStatusReply(data []byte) (*StatusReply, error) {

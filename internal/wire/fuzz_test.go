@@ -1,9 +1,14 @@
 package wire
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"elga/internal/events"
+	"elga/internal/trace"
 )
 
 // FuzzDecodeFrame drives every control-plane decoder that parses
@@ -21,7 +26,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	rec.Fields[0] = events.U("agent", 3)
 	rec.Fields[1] = events.S("cause", "compute-skew")
-	f.Add(seedFrame(TEventBatch, AppendEventBatch(nil, []events.Record{rec}, 5)))
+	f.Add(seedFrame(TReport, AppendEventBatch(nil, []events.Record{rec}, 5)))
 	f.Add(seedFrame(TStatusReply, AppendStatusReply(nil, &StatusReply{
 		Epoch: 3, BatchID: 2, Vertices: 100, Running: true, RunID: 1, Step: 6,
 		Agents: []AgentHealth{{
@@ -30,7 +35,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}},
 		Timeline: []events.Record{rec},
 	})))
-	f.Add(seedFrame(TCheckpointMark, AppendManifest(nil, &Manifest{
+	f.Add(seedFrame(TReport, AppendManifest(nil, &Manifest{
 		Meta: CheckpointMeta{Key: "agent-0", AgentID: 1, Seq: 3, ViewEpoch: 2, RunID: 1, Step: 4},
 		Segments: []SegmentRef{
 			{Kind: 1, Name: "01-abc", Length: 64, CRC: 0xdeadbeef},
@@ -59,7 +64,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		}},
 		Data: []byte{0x1f, 0x8b, 0x08, 0x00},
 	})))
-	f.Add(seedFrame(TMetric, AppendMetric(nil, &Metric{AgentID: 3, Name: "step_time", Value: 0.25})))
+	for _, rep := range reportSeeds(rec) {
+		f.Add(seedFrame(TReport, AppendReport(nil, rep)))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -69,16 +76,20 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Each decoder must return (result, error) without panicking on
 		// arbitrary bytes. Results are discarded — only survival matters.
 		switch typ {
-		case TEventBatch:
+		case TReport:
+			// The report and every payload shape that rides in or
+			// beside it: its sections and the checkpoint formats.
+			_, _ = DecodeReport(payload)
 			_, _, _ = DecodeEventBatch(payload)
+			_, _ = DecodeSpanBatch(payload)
+			_, _ = DecodeVertexDigest(payload)
+			_, _ = DecodeCheckpointMark(payload)
+			_, _ = DecodeManifest(payload)
+			_, _ = DecodeCoordState(payload)
 		case TStatusReply:
 			_, _ = DecodeStatusReply(payload)
 		case TStatus:
 			_, _ = DecodeStatusReq(payload)
-		case TCheckpointMark:
-			_, _ = DecodeManifest(payload)
-			_, _ = DecodeCheckpointMark(payload)
-			_, _ = DecodeCoordState(payload)
 		case TProfileReq:
 			_, _ = DecodeProfileReq(payload)
 		case TProfileChunk:
@@ -88,8 +99,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		case TProfileReply:
 			_, _ = DecodeProfileReply(payload)
 			_, _ = DecodeProfileArtifacts(payload)
-		case TMetric:
-			_, _ = DecodeMetric(payload)
 		case TDirUpdate:
 			_, _ = DecodeView(payload)
 		default:
@@ -101,7 +110,75 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
+// reportSeeds returns the three report shapes: every section present,
+// an agent's lease-only tick, and a client's lease-less event report.
+func reportSeeds(rec events.Record) []*Report {
+	return []*Report{
+		{
+			AgentID: 3, Lease: true,
+			Samples: []Sample{{ID: MetricStepTime, Value: 0.25}, {ID: MetricGoroutines, Value: 12}},
+			Spans: &SpanBatch{Proc: "agent-3", Spans: []trace.SpanRecord{{
+				TraceHi: 1, TraceLo: 2, SpanID: 3, RunID: 1, Step: 4, Name: "compute", Dur: 5,
+			}}},
+			Events: []events.Record{rec}, Dropped: 2,
+			Digest: &VertexDigest{AgentID: 3, Epoch: 2, Vertices: 10, Entries: []DigestEntry{{Vertex: 7, Local: 1, Peer: 2, PeerMsgs: 9}}},
+			Mark:   &CheckpointMark{Meta: CheckpointMeta{Key: "agent-0", AgentID: 3, Seq: 4}, Bytes: 512},
+		},
+		{AgentID: 3, Lease: true},
+		{Events: []events.Record{rec}, Dropped: 1},
+	}
+}
+
 // seedFrame prefixes a payload with its selector byte.
 func seedFrame(typ Type, payload []byte) []byte {
 	return append([]byte{byte(typ)}, payload...)
+}
+
+// TestFuzzCorpusSelectors pins the checked-in corpus to the Type
+// numbering: each file's selector byte must still reach the decoder its
+// name promises, and that decoder must accept the payload.
+func TestFuzzCorpusSelectors(t *testing.T) {
+	decoders := map[string]struct {
+		typ Type
+		dec func([]byte) error
+	}{
+		"event-batch":       {TReport, func(b []byte) error { _, _, err := DecodeEventBatch(b); return err }},
+		"manifest":          {TReport, func(b []byte) error { _, err := DecodeManifest(b); return err }},
+		"report-full":       {TReport, func(b []byte) error { _, err := DecodeReport(b); return err }},
+		"report-lease":      {TReport, func(b []byte) error { _, err := DecodeReport(b); return err }},
+		"report-client":     {TReport, func(b []byte) error { _, err := DecodeReport(b); return err }},
+		"status-reply":      {TStatusReply, func(b []byte) error { _, err := DecodeStatusReply(b); return err }},
+		"profile-req":       {TProfileReq, func(b []byte) error { _, err := DecodeProfileReq(b); return err }},
+		"profile-chunk":     {TProfileChunk, func(b []byte) error { _, err := DecodeProfileChunk(b); return err }},
+		"profile-chunk-err": {TProfileChunk, func(b []byte) error { _, err := DecodeProfileChunk(b); return err }},
+		"profile-request":   {TProfile, func(b []byte) error { _, err := DecodeProfileRequest(b); return err }},
+		"profile-reply":     {TProfileReply, func(b []byte) error { _, err := DecodeProfileReply(b); return err }},
+	}
+	files, err := filepath.Glob("testdata/fuzz/FuzzDecodeFrame/*")
+	if err != nil || len(files) != len(decoders) {
+		t.Fatalf("corpus has %d files, want %d (%v)", len(files), len(decoders), err)
+	}
+	for _, f := range files {
+		name := filepath.Base(f)
+		want, ok := decoders[name]
+		if !ok {
+			t.Errorf("%s: no decoder mapped", name)
+			continue
+		}
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil || len(s) == 0 {
+			t.Fatalf("%s: unparsable corpus entry: %v", name, err)
+		}
+		if Type(s[0]) != want.typ {
+			t.Errorf("%s: selector %v, want %v", name, Type(s[0]), want.typ)
+		}
+		if err := want.dec([]byte(s[1:])); err != nil {
+			t.Errorf("%s: named decoder rejects the payload: %v", name, err)
+		}
+	}
 }

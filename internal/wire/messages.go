@@ -95,9 +95,6 @@ func AppendView(dst []byte, v *View) []byte {
 	return w.buf
 }
 
-// EncodeView serializes a view payload.
-func EncodeView(v *View) []byte { return AppendView(nil, v) }
-
 // DecodeView parses a view payload.
 func DecodeView(data []byte) (*View, error) {
 	r := NewReader(data)
@@ -183,9 +180,6 @@ func AppendEdgeBatch(dst []byte, b *EdgeBatch) []byte {
 	return w.buf
 }
 
-// EncodeEdgeBatch serializes an edge batch.
-func EncodeEdgeBatch(b *EdgeBatch) []byte { return AppendEdgeBatch(nil, b) }
-
 // DecodeEdgeBatchInto parses an edge batch into b, reusing the capacity of
 // b.Changes and b.States. Nothing in b aliases data afterwards.
 func DecodeEdgeBatchInto(b *EdgeBatch, data []byte) error {
@@ -268,9 +262,6 @@ func AppendVertexMsgBatch(dst []byte, b *VertexMsgBatch) []byte {
 	return w.buf
 }
 
-// EncodeVertexMsgBatch serializes a vertex message batch.
-func EncodeVertexMsgBatch(b *VertexMsgBatch) []byte { return AppendVertexMsgBatch(nil, b) }
-
 // DecodeVertexMsgBatchInto parses a vertex message batch into b, reusing
 // the capacity of b.Msgs. Nothing in b aliases data afterwards.
 func DecodeVertexMsgBatchInto(b *VertexMsgBatch, data []byte) error {
@@ -329,9 +320,6 @@ func AppendReplicaPartial(dst []byte, p *ReplicaPartial) []byte {
 	return w.buf
 }
 
-// EncodeReplicaPartial serializes a replica partial.
-func EncodeReplicaPartial(p *ReplicaPartial) []byte { return AppendReplicaPartial(nil, p) }
-
 // DecodeReplicaPartial parses a replica partial.
 func DecodeReplicaPartial(data []byte) (*ReplicaPartial, error) {
 	r := NewReader(data)
@@ -371,9 +359,6 @@ func AppendValueUpdate(dst []byte, u *ValueUpdate) []byte {
 	return w.buf
 }
 
-// EncodeValueUpdate serializes a value update.
-func EncodeValueUpdate(u *ValueUpdate) []byte { return AppendValueUpdate(nil, u) }
-
 // DecodeValueUpdate parses a value update.
 func DecodeValueUpdate(data []byte) (*ValueUpdate, error) {
 	r := NewReader(data)
@@ -405,9 +390,6 @@ func AppendReplicaRegister(dst []byte, rr *ReplicaRegister) []byte {
 	return w.buf
 }
 
-// EncodeReplicaRegister serializes a replica registration.
-func EncodeReplicaRegister(rr *ReplicaRegister) []byte { return AppendReplicaRegister(nil, rr) }
-
 // DecodeReplicaRegister parses a replica registration.
 func DecodeReplicaRegister(data []byte) (*ReplicaRegister, error) {
 	r := NewReader(data)
@@ -432,6 +414,9 @@ type Ready struct {
 	Sent       uint64 // async: cumulative messages sent
 	Received   uint64 // async: cumulative messages received
 	Idle       bool   // async: no local work outstanding
+	// Samples are the voter's pending event-driven samples, appended only
+	// when present so a sample-free vote keeps the legacy encoding.
+	Samples []Sample
 }
 
 // AppendReady appends a barrier vote payload to dst.
@@ -447,11 +432,11 @@ func AppendReady(dst []byte, m *Ready) []byte {
 	w.U64(m.Sent)
 	w.U64(m.Received)
 	w.Bool(m.Idle)
+	if len(m.Samples) > 0 {
+		appendSamples(&w, m.Samples)
+	}
 	return w.buf
 }
-
-// EncodeReady serializes a barrier vote.
-func EncodeReady(m *Ready) []byte { return AppendReady(nil, m) }
 
 // DecodeReady parses a barrier vote.
 func DecodeReady(data []byte) (*Ready, error) {
@@ -460,6 +445,9 @@ func DecodeReady(data []byte) (*Ready, error) {
 		AgentID: r.U64(), Step: r.U32(), Phase: r.U8(),
 		ActiveNext: r.U64(), Residual: r.F64(), SplitWork: r.Bool(),
 		Masters: r.U64(), Sent: r.U64(), Received: r.U64(), Idle: r.Bool(),
+	}
+	if r.Err() == nil && r.Remaining() > 0 {
+		m.Samples = readSamples(r)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode ready: %w", err)
@@ -486,9 +474,6 @@ func AppendAdvance(dst []byte, a *Advance) []byte {
 	w.U32(a.RunID)
 	return w.buf
 }
-
-// EncodeAdvance serializes an advance broadcast.
-func EncodeAdvance(a *Advance) []byte { return AppendAdvance(nil, a) }
 
 // DecodeAdvance parses an advance broadcast.
 func DecodeAdvance(data []byte) (*Advance, error) {
@@ -533,9 +518,6 @@ func AppendAlgoStart(dst []byte, s *AlgoStart) []byte {
 	return w.buf
 }
 
-// EncodeAlgoStart serializes an algorithm start broadcast.
-func EncodeAlgoStart(s *AlgoStart) []byte { return AppendAlgoStart(nil, s) }
-
 // DecodeAlgoStart parses an algorithm start broadcast.
 func DecodeAlgoStart(data []byte) (*AlgoStart, error) {
 	r := NewReader(data)
@@ -567,9 +549,6 @@ func AppendAlgoDone(dst []byte, d *AlgoDone) []byte {
 	return w.buf
 }
 
-// EncodeAlgoDone serializes a completion broadcast.
-func EncodeAlgoDone(d *AlgoDone) []byte { return AppendAlgoDone(nil, d) }
-
 // DecodeAlgoDone parses a completion broadcast.
 func DecodeAlgoDone(data []byte) (*AlgoDone, error) {
 	r := NewReader(data)
@@ -591,9 +570,6 @@ func AppendQuery(dst []byte, q *Query) []byte {
 	w.U64(uint64(q.Vertex))
 	return w.buf
 }
-
-// EncodeQuery serializes a query.
-func EncodeQuery(q *Query) []byte { return AppendQuery(nil, q) }
 
 // DecodeQuery parses a query.
 func DecodeQuery(data []byte) (*Query, error) {
@@ -621,9 +597,6 @@ func AppendQueryReply(dst []byte, q *QueryReply) []byte {
 	return w.buf
 }
 
-// EncodeQueryReply serializes a query reply.
-func EncodeQueryReply(q *QueryReply) []byte { return AppendQueryReply(nil, q) }
-
 // DecodeQueryReply parses a query reply.
 func DecodeQueryReply(data []byte) (*QueryReply, error) {
 	r := NewReader(data)
@@ -634,33 +607,12 @@ func DecodeQueryReply(data []byte) (*QueryReply, error) {
 	return q, nil
 }
 
-// Metric is one autoscaler metric sample (§3.4.3).
+// Metric is one autoscaler metric sample (§3.4.3) as the coordinator
+// hands it to its handlers; on the wire it is a Sample keyed by MetricID.
 type Metric struct {
 	AgentID uint64
 	Name    string
 	Value   float64
-}
-
-// AppendMetric appends a metric sample payload to dst.
-func AppendMetric(dst []byte, m *Metric) []byte {
-	w := Writer{buf: dst}
-	w.U64(m.AgentID)
-	w.Str(m.Name)
-	w.F64(m.Value)
-	return w.buf
-}
-
-// EncodeMetric serializes a metric sample.
-func EncodeMetric(m *Metric) []byte { return AppendMetric(nil, m) }
-
-// DecodeMetric parses a metric sample.
-func DecodeMetric(data []byte) (*Metric, error) {
-	r := NewReader(data)
-	m := &Metric{AgentID: r.U64(), Name: r.Str(), Value: r.F64()}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decode metric: %w", err)
-	}
-	return m, nil
 }
 
 // DigestEntry is one chatty vertex in a communication digest: how many
@@ -674,9 +626,9 @@ type DigestEntry struct {
 	PeerMsgs uint64
 }
 
-// VertexDigest is the payload of TVertexDigest: an agent's top-K chatty
-// vertices by remote scatter traffic, plus its local vertex count so the
-// planner can capacity-balance moves. Sent on the TMetric cadence; lossy.
+// VertexDigest is a TReport section: an agent's top-K chatty vertices by
+// remote scatter traffic, plus its local vertex count so the planner can
+// capacity-balance moves. Lossy, on the report cadence.
 type VertexDigest struct {
 	AgentID  uint64
 	Epoch    uint64
@@ -699,9 +651,6 @@ func AppendVertexDigest(dst []byte, d *VertexDigest) []byte {
 	}
 	return w.buf
 }
-
-// EncodeVertexDigest serializes a digest.
-func EncodeVertexDigest(d *VertexDigest) []byte { return AppendVertexDigest(nil, d) }
 
 // DecodeVertexDigest parses a digest.
 func DecodeVertexDigest(data []byte) (*VertexDigest, error) {
@@ -746,9 +695,6 @@ func AppendJoin(dst []byte, j *Join) []byte {
 	return w.buf
 }
 
-// EncodeJoin serializes a join request.
-func EncodeJoin(j *Join) []byte { return AppendJoin(nil, j) }
-
 // DecodeJoin parses a join request.
 func DecodeJoin(data []byte) (*Join, error) {
 	r := NewReader(data)
@@ -784,9 +730,6 @@ func AppendJoinReply(dst []byte, j *JoinReply) []byte {
 	return w.buf
 }
 
-// EncodeJoinReply serializes a join reply.
-func EncodeJoinReply(j *JoinReply) []byte { return AppendJoinReply(nil, j) }
-
 // DecodeJoinReply parses a join reply.
 func DecodeJoinReply(data []byte) (*JoinReply, error) {
 	r := NewReader(data)
@@ -815,9 +758,6 @@ func AppendLeave(dst []byte, l *Leave) []byte {
 	return w.buf
 }
 
-// EncodeLeave serializes a leave announcement.
-func EncodeLeave(l *Leave) []byte { return AppendLeave(nil, l) }
-
 // DecodeLeave parses a leave announcement.
 func DecodeLeave(data []byte) (*Leave, error) {
 	r := NewReader(data)
@@ -826,31 +766,4 @@ func DecodeLeave(data []byte) (*Leave, error) {
 		return nil, fmt.Errorf("decode leave: %w", err)
 	}
 	return l, nil
-}
-
-// Heartbeat is an agent's periodic lease renewal to its coordinator.
-// Epoch carries the sender's installed view epoch so the coordinator can
-// push a fresh view to an agent that fell behind (e.g. one it already
-// evicted).
-type Heartbeat struct {
-	AgentID uint64
-	Epoch   uint64
-}
-
-// AppendHeartbeat appends a heartbeat payload to dst.
-func AppendHeartbeat(dst []byte, h *Heartbeat) []byte {
-	w := Writer{buf: dst}
-	w.U64(h.AgentID)
-	w.U64(h.Epoch)
-	return w.buf
-}
-
-// DecodeHeartbeat parses a heartbeat.
-func DecodeHeartbeat(data []byte) (*Heartbeat, error) {
-	r := NewReader(data)
-	h := &Heartbeat{AgentID: r.U64(), Epoch: r.U64()}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decode heartbeat: %w", err)
-	}
-	return h, nil
 }

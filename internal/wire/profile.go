@@ -11,7 +11,7 @@ import "fmt"
 //     later, so samples align with compute/combine phases instead of
 //     smearing across barrier waits.
 //   - ProfileChunk (TProfileChunk, lossy) streams the captured bytes back
-//     in bounded chunks on the metric cadence; the final reassembly is
+//     in bounded chunks on the report cadence; the final reassembly is
 //     committed into the coordinator's content-addressed profile store.
 //   - ProfileRequest/ProfileReply (TProfile/TProfileReply, REQ/REP) is
 //     the client boundary: trigger captures, list stored artifacts, or
@@ -290,7 +290,8 @@ func AppendProfileReply(dst []byte, p *ProfileReply) []byte {
 	return w.buf
 }
 
-// DecodeProfileReply parses a TProfileReply payload.
+// DecodeProfileReply parses a TProfileReply payload. Data is copied: the
+// client releases the reply frame before a fetch's caller reads it.
 func DecodeProfileReply(data []byte) (*ProfileReply, error) {
 	r := NewReader(data)
 	p := &ProfileReply{Err: r.Str()}
@@ -310,7 +311,7 @@ func DecodeProfileReply(data []byte) (*ProfileReply, error) {
 	for i := 0; i < na && r.Err() == nil; i++ {
 		p.Artifacts = append(p.Artifacts, readProfileArtifact(r))
 	}
-	p.Data = r.Blob()
+	p.Data = append([]byte(nil), r.Blob()...)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode profile reply: %w", err)
 	}

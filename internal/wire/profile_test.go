@@ -98,6 +98,20 @@ func TestProfileReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProfileReplyDataOutlivesFrame: a fetched artifact must survive the
+// reply frame's recycling, which overwrites the frame in place.
+func TestProfileReplyDataOutlivesFrame(t *testing.T) {
+	frame := AppendProfileReply(nil, &ProfileReply{Data: []byte("pprof")})
+	rep, err := DecodeProfileReply(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(frame)
+	if string(rep.Data) != "pprof" {
+		t.Fatalf("fetched data aliases the frame: %q", rep.Data)
+	}
+}
+
 func TestDecodeProfileTruncated(t *testing.T) {
 	// Every truncation of a valid payload must error, never panic.
 	full := AppendProfileChunk(nil, &ProfileChunk{
@@ -131,6 +145,6 @@ func TestProfileFrameTypesNamed(t *testing.T) {
 		t.Fatal("TProfileReq must be acked: a dropped request wedges the capture accounting")
 	}
 	if AckedPush(TProfileChunk) {
-		t.Fatal("TProfileChunk must stay lossy like TMetric")
+		t.Fatal("TProfileChunk must stay lossy like TReport")
 	}
 }

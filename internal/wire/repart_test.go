@@ -15,7 +15,7 @@ func TestVertexDigestRoundTrip(t *testing.T) {
 			{Vertex: 1 << 40, Local: 0, Peer: 8, PeerMsgs: 7},
 		},
 	}
-	got, err := DecodeVertexDigest(EncodeVertexDigest(d))
+	got, err := DecodeVertexDigest(AppendVertexDigest(nil, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestVertexDigestHeaderOnly(t *testing.T) {
 	// Agents send entry-less digests to mark reporter coverage; the header
 	// must survive alone.
 	d := &VertexDigest{AgentID: 3, Epoch: 9, Vertices: 128}
-	got, err := DecodeVertexDigest(EncodeVertexDigest(d))
+	got, err := DecodeVertexDigest(AppendVertexDigest(nil, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestVertexDigestHeaderOnly(t *testing.T) {
 }
 
 func TestVertexDigestRejectsTruncation(t *testing.T) {
-	full := EncodeVertexDigest(&VertexDigest{
+	full := AppendVertexDigest(nil, &VertexDigest{
 		AgentID: 1, Epoch: 2, Vertices: 3,
 		Entries: []DigestEntry{{Vertex: 4, Local: 5, Peer: 6, PeerMsgs: 7}},
 	})
@@ -66,7 +66,7 @@ func TestViewOverridesRoundTrip(t *testing.T) {
 			{Vertex: 77, AgentID: 1},
 		},
 	}
-	got, err := DecodeView(EncodeView(v))
+	got, err := DecodeView(AppendView(nil, v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestViewWithoutOverridesMatchesLegacyEncoding(t *testing.T) {
 	// mixed-version compatibility contract: relays and old agents never
 	// look past the sketch.
 	v := &View{Epoch: 3, BatchID: 1, N: 50, Agents: []AgentInfo{{1, "a"}}, Sketch: []byte{1, 2, 3}}
-	enc := EncodeView(v)
+	enc := AppendView(nil, v)
 	legacy := legacyEncodeView(v)
 	if !bytes.Equal(enc, legacy) {
 		t.Fatalf("override-free view encoding diverged from legacy layout:\n got %x\nwant %x", enc, legacy)

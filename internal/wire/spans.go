@@ -7,7 +7,7 @@ import (
 	"elga/internal/trace"
 )
 
-// SpanBatch is the payload of TSpanBatch: a participant's completed,
+// SpanBatch is a TReport section: a participant's completed,
 // sampled spans on their way to the coordinator's collector. Proc names
 // the participant the spans belong to ("agent-3", "dir-0", "client") so
 // the timeline can lane them per process.
@@ -16,7 +16,7 @@ type SpanBatch struct {
 	Spans []trace.SpanRecord
 }
 
-// AppendSpanBatch appends a span-batch payload to dst.
+// AppendSpanBatch appends a span-batch section to dst.
 func AppendSpanBatch(dst []byte, b *SpanBatch) []byte {
 	w := Writer{buf: dst}
 	w.Str(b.Proc)
@@ -37,10 +37,7 @@ func AppendSpanBatch(dst []byte, b *SpanBatch) []byte {
 	return w.buf
 }
 
-// EncodeSpanBatch serializes a span-batch payload.
-func EncodeSpanBatch(b *SpanBatch) []byte { return AppendSpanBatch(nil, b) }
-
-// DecodeSpanBatch parses a span-batch payload. Spans are materialized
+// DecodeSpanBatch parses a span-batch section. Spans are materialized
 // copies; they outlive the frame.
 func DecodeSpanBatch(data []byte) (*SpanBatch, error) {
 	r := NewReader(data)

@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"elga/internal/autoscale"
 	"elga/internal/graph"
 )
 
@@ -124,7 +126,7 @@ func TestViewRoundTrip(t *testing.T) {
 		Agents: []AgentInfo{{1, "a"}, {2, "b"}},
 		Sketch: []byte{1, 2, 3, 4},
 	}
-	got, err := DecodeView(EncodeView(v))
+	got, err := DecodeView(AppendView(nil, v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestViewRoundTrip(t *testing.T) {
 }
 
 func TestViewEmptyAgents(t *testing.T) {
-	got, err := DecodeView(EncodeView(&View{Epoch: 1}))
+	got, err := DecodeView(AppendView(nil, &View{Epoch: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestEdgeBatchRoundTrip(t *testing.T) {
 		},
 	}
 	b.States = []VertexState{{Vertex: 9, State: 101}}
-	got, err := DecodeEdgeBatch(EncodeEdgeBatch(b))
+	got, err := DecodeEdgeBatch(AppendEdgeBatch(nil, b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestEdgeBatchRoundTrip(t *testing.T) {
 
 func TestVertexMsgBatchRoundTrip(t *testing.T) {
 	b := &VertexMsgBatch{Step: 7, Async: true, Msgs: []VertexMsg{{1, 2, 3}, {4, 5, 6}}}
-	got, err := DecodeVertexMsgBatch(EncodeVertexMsgBatch(b))
+	got, err := DecodeVertexMsgBatch(AppendVertexMsgBatch(nil, b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestVertexMsgBatchRoundTrip(t *testing.T) {
 
 func TestReplicaPartialRoundTrip(t *testing.T) {
 	p := &ReplicaPartial{Step: 2, Vertex: 11, Agg: 22, HaveMsgs: true, MsgCount: 5, LocalOutDeg: 9}
-	got, err := DecodeReplicaPartial(EncodeReplicaPartial(p))
+	got, err := DecodeReplicaPartial(AppendReplicaPartial(nil, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestReplicaPartialRoundTrip(t *testing.T) {
 
 func TestValueUpdateRoundTrip(t *testing.T) {
 	u := &ValueUpdate{Step: 1, Vertex: 2, State: 3, TotalOutDeg: 4, Scatter: true}
-	got, err := DecodeValueUpdate(EncodeValueUpdate(u))
+	got, err := DecodeValueUpdate(AppendValueUpdate(nil, u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +205,7 @@ func TestValueUpdateRoundTrip(t *testing.T) {
 
 func TestReplicaRegisterRoundTrip(t *testing.T) {
 	rr := &ReplicaRegister{Vertex: 77, AgentID: 5}
-	got, err := DecodeReplicaRegister(EncodeReplicaRegister(rr))
+	got, err := DecodeReplicaRegister(AppendReplicaRegister(nil, rr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,18 +217,30 @@ func TestReplicaRegisterRoundTrip(t *testing.T) {
 func TestReadyRoundTrip(t *testing.T) {
 	m := &Ready{AgentID: 1, Step: 2, Phase: 1, ActiveNext: 3, Residual: 0.5,
 		SplitWork: true, Masters: 10, Sent: 100, Received: 99, Idle: true}
-	got, err := DecodeReady(EncodeReady(m))
+	got, err := DecodeReady(AppendReady(nil, m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *m {
+	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("%+v", got)
+	}
+	// Samples ride as an optional tail: a sample-free vote keeps the
+	// legacy length, and samples round-trip after it.
+	legacy := len(AppendReady(nil, m))
+	m.Samples = []Sample{{ID: MetricStepTime, Value: 0.5}, {ID: MetricMigrationBytes, Value: 4096}}
+	full := AppendReady(nil, m)
+	if len(full) != legacy+1+2*9 {
+		t.Fatalf("vote with 2 samples is %d bytes, want legacy %d + 19", len(full), legacy)
+	}
+	got, err = DecodeReady(full)
+	if err != nil || !reflect.DeepEqual(got, m) {
+		t.Fatalf("%v %+v", err, got)
 	}
 }
 
 func TestAdvanceRoundTrip(t *testing.T) {
 	a := &Advance{Step: 4, Phase: 2, Halt: true, N: 500, RunID: 8}
-	got, err := DecodeAdvance(EncodeAdvance(a))
+	got, err := DecodeAdvance(AppendAdvance(nil, a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +252,7 @@ func TestAdvanceRoundTrip(t *testing.T) {
 func TestAlgoStartRoundTrip(t *testing.T) {
 	s := &AlgoStart{RunID: 1, Algo: "pagerank", Async: false, MaxSteps: 20,
 		Epsilon: 1e-8, FromScratch: true, Source: 42}
-	got, err := DecodeAlgoStart(EncodeAlgoStart(s))
+	got, err := DecodeAlgoStart(AppendAlgoStart(nil, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +263,7 @@ func TestAlgoStartRoundTrip(t *testing.T) {
 
 func TestAlgoDoneRoundTrip(t *testing.T) {
 	d := &AlgoDone{RunID: 9, Steps: 13, Converged: true}
-	got, err := DecodeAlgoDone(EncodeAlgoDone(d))
+	got, err := DecodeAlgoDone(AppendAlgoDone(nil, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,49 +273,67 @@ func TestAlgoDoneRoundTrip(t *testing.T) {
 }
 
 func TestQueryRoundTrips(t *testing.T) {
-	q, err := DecodeQuery(EncodeQuery(&Query{Vertex: 123}))
+	q, err := DecodeQuery(AppendQuery(nil, &Query{Vertex: 123}))
 	if err != nil || q.Vertex != 123 {
 		t.Fatalf("query: %v %+v", err, q)
 	}
-	qr, err := DecodeQueryReply(EncodeQueryReply(&QueryReply{Found: true, State: 9, Step: 3}))
+	qr, err := DecodeQueryReply(AppendQueryReply(nil, &QueryReply{Found: true, State: 9, Step: 3}))
 	if err != nil || !qr.Found || qr.State != 9 || qr.Step != 3 {
 		t.Fatalf("reply: %v %+v", err, qr)
 	}
 }
 
+// TestMetricRoundTrip sends one sample of every metric ID through a
+// report and checks it decodes to the same ID, value, and autoscale name.
 func TestMetricRoundTrip(t *testing.T) {
-	m, err := DecodeMetric(EncodeMetric(&Metric{AgentID: 1, Name: "qps", Value: 2.5}))
-	if err != nil || m.Name != "qps" || m.Value != 2.5 {
-		t.Fatalf("%v %+v", err, m)
+	in := &Report{AgentID: 1}
+	for id := MetricID(1); int(id) <= NumMetricIDs; id++ {
+		in.Samples = append(in.Samples, Sample{ID: id, Value: 2.5 * float64(id)})
+	}
+	out, err := DecodeReport(AppendReport(nil, in))
+	if err != nil || !reflect.DeepEqual(out.Samples, in.Samples) {
+		t.Fatalf("%v %+v", err, out)
+	}
+	names := map[string]bool{}
+	for _, s := range out.Samples {
+		names[s.ID.String()] = true
+	}
+	for _, want := range []string{autoscale.MetricStepTime, autoscale.MetricQueryRate, autoscale.MetricGoroutines} {
+		if !names[want] {
+			t.Errorf("no metric ID named %q", want)
+		}
+	}
+	if len(names) != NumMetricIDs || names[""] {
+		t.Fatalf("metric names not distinct: %v", names)
 	}
 }
 
 func TestJoinLeaveRoundTrips(t *testing.T) {
-	j, err := DecodeJoin(EncodeJoin(&Join{Addr: "tcp://x:1"}))
+	j, err := DecodeJoin(AppendJoin(nil, &Join{Addr: "tcp://x:1"}))
 	if err != nil || j.Addr != "tcp://x:1" {
 		t.Fatalf("join: %v %+v", err, j)
 	}
-	jr, err := DecodeJoinReply(EncodeJoinReply(&JoinReply{
+	jr, err := DecodeJoinReply(AppendJoinReply(nil, &JoinReply{
 		AgentID: 7,
 		View:    &View{Epoch: 2, Agents: []AgentInfo{{7, "tcp://x:1"}}},
 	}))
 	if err != nil || jr.AgentID != 7 || jr.View.Epoch != 2 || len(jr.View.Agents) != 1 {
 		t.Fatalf("join reply: %v %+v", err, jr)
 	}
-	l, err := DecodeLeave(EncodeLeave(&Leave{AgentID: 3}))
+	l, err := DecodeLeave(AppendLeave(nil, &Leave{AgentID: 3}))
 	if err != nil || l.AgentID != 3 {
 		t.Fatalf("leave: %v %+v", err, l)
 	}
 }
 
 func TestDecodersRejectTruncation(t *testing.T) {
-	full := EncodeReady(&Ready{AgentID: 1})
+	full := AppendReady(nil, &Ready{AgentID: 1})
 	for n := 0; n < len(full); n++ {
 		if _, err := DecodeReady(full[:n]); err == nil {
 			t.Fatalf("truncated ready at %d accepted", n)
 		}
 	}
-	fullV := EncodeView(&View{Agents: []AgentInfo{{1, "a"}}})
+	fullV := AppendView(nil, &View{Agents: []AgentInfo{{1, "a"}}})
 	for n := 0; n < len(fullV); n++ {
 		if _, err := DecodeView(fullV[:n]); err == nil {
 			t.Fatalf("truncated view at %d accepted", n)
@@ -346,7 +378,7 @@ func BenchmarkEncodeVertexMsgBatch(b *testing.B) {
 func BenchmarkDecodeVertexMsgBatch(b *testing.B) {
 	// The receive-path decode: into a reused scratch batch, as the agent
 	// event loop does.
-	data := EncodeVertexMsgBatch(&VertexMsgBatch{Step: 1, Msgs: make([]VertexMsg, 256)})
+	data := AppendVertexMsgBatch(nil, &VertexMsgBatch{Step: 1, Msgs: make([]VertexMsg, 256)})
 	var scratch VertexMsgBatch
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -375,7 +407,7 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 		func(b []byte) error { _, err := DecodeAlgoDone(b); return err },
 		func(b []byte) error { _, err := DecodeQuery(b); return err },
 		func(b []byte) error { _, err := DecodeQueryReply(b); return err },
-		func(b []byte) error { _, err := DecodeMetric(b); return err },
+		func(b []byte) error { _, err := DecodeReport(b); return err },
 		func(b []byte) error { _, err := DecodeJoin(b); return err },
 		func(b []byte) error { _, err := DecodeJoinReply(b); return err },
 		func(b []byte) error { _, err := DecodeLeave(b); return err },
